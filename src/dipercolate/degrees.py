@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import (
     DistributionFormatError,
@@ -330,10 +330,13 @@ class DegreeDistribution:
             raise ValueError("lam must be nonnegative")
         if lam == 0:
             return cls({(0, 0): 1.0})
-        kmax = int(stats.poisson.ppf(1.0 - tail / 2.0, lam))
-        while stats.poisson.sf(kmax, lam) >= tail / 2.0:
+        # The same ufuncs scipy.stats.poisson calls (sf, pmf), without importing
+        # scipy.stats, which costs about 20 MB of memory.
+        kmax = 0
+        while special.pdtrc(kmax, lam) >= tail / 2.0:
             kmax += 1
-        marg = stats.poisson.pmf(np.arange(kmax + 1), lam)
+        k = np.arange(kmax + 1)
+        marg = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
         return cls._from_product(marg, tail)
 
     @classmethod

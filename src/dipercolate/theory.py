@@ -1,37 +1,41 @@
 """Analytic predictions for percolation on directed random graphs.
 
 Let U(x, y) = sum p[j,k] x^j y^k be the generating function of the degree
-distribution, with normalized boundary derivatives
+distribution.  Its normalized boundary derivatives are 1-D polynomials,
 
-    U_minus(x) = mu^-1 sum_{j,k} k p[j,k] x^j,
-    U_plus(y)  = mu^-1 sum_{j,k} j p[j,k] y^k.
+    U_minus(x) = sum_j a[j] x^j,  a[j] = mu^-1 sum_k k p[j,k],
+    U_plus(y)  = sum_k b[k] y^k,  b[k] = mu^-1 sum_j j p[j,k].
 
 Bond percolation with probability pi thins each degree binomially, which at
 the generating-function level substitutes x -> 1 - pi + pi x.  The giant
 strongly connected component emerges above pi_c = mu / mu_11, and its
 fraction is
 
-    c_bond(pi) = 1 - U_pi(x*, 1) - U_pi(1, y*) + U_pi(x*, y*),
-    c_site(pi) = pi * c_bond(pi),
+    c_bond(pi) = 1 - U_pi(x*, 1) - U_pi(1, y*) + U_pi(x*, y*)
+               = sum p[j,k] (1 - x'^j) (1 - y'^k),   c_site(pi) = pi * c_bond(pi),
 
-where U_pi(x, y) = U(1-pi+pi*x, 1-pi+pi*y) and x*, y* are the smallest fixed
-points of x -> U_minus(1-pi+pi*x) and y -> U_plus(1-pi+pi*y).  Both maps are
-nondecreasing and fix 1, so plain iteration from 0 converges monotonically to
-the smallest fixed point; when the slope at 1 (= pi * mu_11 / mu) is at most
-1 the smallest fixed point is 1 itself and the fraction is 0 (the closed
-subcritical convention, applied at pi = pi_c as well).
+where U_pi(x, y) = U(1-pi+pi*x, 1-pi+pi*y), x' = 1-pi+pi*x*, y' = 1-pi+pi*y*,
+and x*, y* are the smallest fixed points of x -> U_minus(1-pi+pi*x) and
+y -> U_plus(1-pi+pi*y).  ``solve_fixed_point`` finds them by bracketed Newton
+steps on the fixed-point equation with its root at 1 divided out, O(len(a))
+per step, to machine precision at any distance from pi_c.  When the slope at
+1 (= pi * mu_11 / mu) is at most 1 the smallest fixed point is 1 itself and
+the fraction is 0 (the closed subcritical convention, applied at pi = pi_c as
+well).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+import dataclasses
+import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from numpy.polynomial import polynomial
 
 from .degrees import DegreeDistribution
 from .errors import PiOutOfRangeError, ZeroMeanDegreeError, ZeroMu11Error
+from .percolation import _check_pi
 
 __all__ = [
     "TheoryPrediction",
@@ -47,8 +51,9 @@ __all__ = [
     "gscc_fraction",
 ]
 
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITERS = 10**6
+# Safety cap on Newton/bisection steps per fixed point; a solve needs a few dozen.
+MAX_SOLVER_ITERS = 200
+EPS = np.finfo(np.float64).eps
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -56,13 +61,6 @@ def _check_unit_interval(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
-
-
-def _check_pi(pi: float) -> float:
-    pi = float(pi)
-    if not 0.0 < pi <= 1.0:
-        raise PiOutOfRangeError(f"pi must lie in (0, 1], got {pi!r}")
-    return pi
 
 
 def _require_mu(dist: DegreeDistribution) -> float:
@@ -79,18 +77,26 @@ def pgf_eval(dist: DegreeDistribution, x: float, y: float) -> float:
     return float(np.sum(dist.ps * x**dist.js * y**dist.ks))
 
 
+def _boundary_coefficients(dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors (a, b) of U_minus and U_plus, each normalized by its
+    own total (mu_01, mu_10; equal to BALANCE_TOL) so that the fixed point at 1
+    the solver divides out is exact."""
+    _require_mu(dist)
+    a = np.bincount(dist.js, weights=dist.ks * dist.ps)
+    b = np.bincount(dist.ks, weights=dist.js * dist.ps)
+    return a / a.sum(), b / b.sum()
+
+
 def u_minus(dist: DegreeDistribution, x: float) -> float:
     """U_minus(x) = mu^-1 sum k p[j,k] x^j (termwise d/dy of U at y = 1)."""
     x = _check_unit_interval("x", x)
-    mu = _require_mu(dist)
-    return float(np.sum(dist.ks * dist.ps * x**dist.js)) / mu
+    return float(polynomial.polyval(x, _boundary_coefficients(dist)[0]))
 
 
 def u_plus(dist: DegreeDistribution, y: float) -> float:
     """U_plus(y) = mu^-1 sum j p[j,k] y^k (termwise d/dx of U at x = 1)."""
     y = _check_unit_interval("y", y)
-    mu = _require_mu(dist)
-    return float(np.sum(dist.js * dist.ps * y**dist.ks)) / mu
+    return float(polynomial.polyval(y, _boundary_coefficients(dist)[1]))
 
 
 def bond_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution:
@@ -102,21 +108,16 @@ def bond_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution
     evaluated exactly over the stored support.  The output satisfies
     mu -> pi * mu and mu_11 -> pi^2 * mu_11.
     """
+    from scipy import stats  # imported here: about 20 MB, needed by nothing else
+
     pi = _check_pi(pi)
     if pi == 1.0:
         return dist
     table = np.zeros((dist.max_in + 1, dist.max_out + 1))
-    rows: dict[int, np.ndarray] = {}
-
-    def thin_row(d: int) -> np.ndarray:
-        row = rows.get(d)
-        if row is None:
-            row = stats.binom.pmf(np.arange(d + 1), d, pi)
-            rows[d] = row
-        return row
-
+    degrees = set(dist.js.tolist()) | set(dist.ks.tolist())
+    rows = {d: stats.binom.pmf(np.arange(d + 1), d, pi) for d in degrees}
     for j, k, p in zip(dist.js.tolist(), dist.ks.tolist(), dist.ps.tolist()):
-        table[: j + 1, : k + 1] += p * np.outer(thin_row(j), thin_row(k))
+        table[: j + 1, : k + 1] += p * np.outer(rows[j], rows[k])
     probs = {
         (j, k): table[j, k]
         for j in range(table.shape[0])
@@ -162,43 +163,76 @@ def critical_threshold(dist: DegreeDistribution) -> CriticalThreshold:
     return CriticalThreshold(mu / mu11, mu11 > mu)
 
 
+def _one_minus_pow(t: float, d: np.ndarray) -> np.ndarray:
+    """1 - (1 - t)^d for t in [0, 1], integer d >= 0 (0^0 = 1), without the
+    cancellation that would leave 1 - x* and c inaccurate just above pi_c."""
+    if t == 1.0:
+        return (d > 0).astype(np.float64)
+    return -np.expm1(d * math.log1p(-t))
+
+
 class FixedPointResult(NamedTuple):
-    x: float
+    s: float  # 1 - x*, kept because x* itself rounds to 1 just above pi_c
     iters: int
-    residual: float
+    residual: float  # final bracket width plus rounding: an upper bound on |x - x*|
+
+    @property
+    def x(self) -> float:
+        return 1.0 - self.s
 
 
 def solve_fixed_point(
-    map_fn: Callable[[float], float],
-    tol: float = FIXED_POINT_TOL,
-    max_iters: int = FIXED_POINT_MAX_ITERS,
+    coeffs: np.ndarray, pi: float, max_iters: int = MAX_SOLVER_ITERS
 ) -> FixedPointResult:
-    """Smallest fixed point of a nondecreasing continuous map on [0, 1].
+    """Smallest fixed point x* in [0, 1] of x -> sum_d coeffs[d] (1 - pi + pi x)^d.
 
-    Iterates x_{t+1} = map_fn(x_t) from x_0 = 0 until successive iterates
-    differ by less than ``tol``.  Monotone maps make the iteration increase
-    toward the smallest fixed point, so no acceleration is used.  If the
-    iteration budget runs out the best iterate is returned with its residual
-    rather than raising.
+    ``coeffs`` are nonnegative and sum to 1, so x = 1 is a fixed point.  With
+    s = 1 - x, z = 1 - pi s and tails T[i] = sum_{d > i} coeffs[d], dividing it
+    out leaves g(s) = pi sum_i T[i] z^i - 1 = (pi sum T - 1) - pi sum_i T[i] (1 - z^i),
+    decreasing and convex on (0, 1].  If g(0+) <= 0 (slope at 1 at most 1)
+    x* = 1.  Otherwise Newton steps from s = 1 keep a bracket g(lo) > 0 >= g(hi);
+    one that would leave it is replaced by bisection.  The solve stops when the
+    bracket is four ulps wide or after ``max_iters`` evaluations of g.
+    ``residual`` bounds |x - x*|: the final bracket width plus the shift of the
+    root that rounding in g can cause.
     """
-    x = 0.0
-    residual = 0.0
+    tails = np.cumsum(np.asarray(coeffs, dtype=np.float64)[::-1])[::-1][1:]
+    excess = pi * tails.sum() - 1.0
+    if excess <= 0.0:
+        return FixedPointResult(0.0, 0, 0.0)
+    powers = np.arange(tails.size)
+    lo, hi, s, iters, dg = 0.0, 1.0, 1.0, 0, math.inf
     for iters in range(1, max_iters + 1):
-        nxt = map_fn(x)
-        residual = abs(nxt - x)
-        x = nxt
-        if residual < tol:
-            return FixedPointResult(x, iters, residual)
-    return FixedPointResult(x, max_iters, residual)
+        w = _one_minus_pow(pi * s, powers)  # 1 - z^i
+        g = excess - pi * (tails @ w)
+        dg = pi * pi * ((powers[1:] * tails[1:]) @ (1.0 - w[:-1]))  # -g'(s)
+        if g >= 0.0:
+            lo = s
+        if g <= 0.0:
+            hi = s
+        tol = 4.0 * EPS * hi
+        if hi - lo <= tol:
+            break
+        nxt = s + g / dg
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        # g is convex, so Newton steps from the left never pass the root; once
+        # they are shorter than tol/2, a step of tol/2 closes the bracket.
+        s = max(nxt, lo + 0.5 * tol)
+    # The computed g is off by a few eps * (excess + 1), which moves its root
+    # by that much over |g'|; the bound adds a safe multiple of it.
+    rounding = 8.0 * EPS * (excess + 1.0) / dg
+    return FixedPointResult(float(s), iters, float(hi - lo + rounding))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TheoryPrediction:
     """Threshold, fixed points, and GSCC fractions for one (dist, pi, mode).
 
-    ``solver_iters`` and ``solver_residual`` aggregate all fixed-point solves
-    performed (total iterations, worst residual); large iteration counts
-    signal critical slowing-down near pi_c.
+    ``solver_iters`` and ``solver_residual`` aggregate all fixed-point solves:
+    total Newton/bisection steps, and the largest error bound, which is the
+    final bracket width on x plus the shift rounding in the map can cause: an
+    upper bound on |x - x*| for each fixed point, not the size of a step.
     """
 
     pi: float
@@ -212,45 +246,29 @@ class TheoryPrediction:
     solver_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "pi": self.pi,
-            "pi_c": self.pi_c,
-            "x_star": self.x_star,
-            "y_star": self.y_star,
-            "c_bond": self.c_bond,
-            "c_site": self.c_site,
-            "zeta": self.zeta,
-            "solver_iters": self.solver_iters,
-            "solver_residual": self.solver_residual,
-        }
+        return dataclasses.asdict(self)
 
 
-def _gscc_terms(dist, pi, tol, max_iters):
+def _gscc_terms(dist, coeffs, pi, max_iters):
     """Fixed points and component fraction for percolation probability ``pi``.
 
     Returns (x_star, y_star, c, iters, residual); c = 0 with fixed points 1
     whenever the slope of the percolated maps at 1, pi * mu_11 / mu, is <= 1.
     """
-    slope = pi * dist.mu11 / dist.mu
-    if slope <= 1.0:
+    if pi * dist.mu11 / dist.mu <= 1.0:
         return 1.0, 1.0, 0.0, 0, 0.0
-    rx = solve_fixed_point(lambda x: u_minus(dist, 1.0 - pi + pi * x), tol, max_iters)
-    ry = solve_fixed_point(lambda y: u_plus(dist, 1.0 - pi + pi * y), tol, max_iters)
-
-    def upi(x, y):
-        return pgf_eval(dist, 1.0 - pi + pi * x, 1.0 - pi + pi * y)
-
-    c = 1.0 - upi(rx.x, 1.0) - upi(1.0, ry.x) + upi(rx.x, ry.x)
-    c = min(1.0, max(0.0, c))
-    return rx.x, ry.x, c, rx.iters + ry.iters, max(rx.residual, ry.residual)
+    rx = solve_fixed_point(coeffs[0], pi, max_iters)
+    ry = solve_fixed_point(coeffs[1], pi, max_iters)
+    # 1 - x'^j with x' = 1 - pi s_x, likewise for y
+    c = dist.ps @ (_one_minus_pow(pi * rx.s, dist.js) * _one_minus_pow(pi * ry.s, dist.ks))
+    return rx.x, ry.x, min(1.0, float(c)), rx.iters + ry.iters, max(rx.residual, ry.residual)
 
 
 def gscc_fraction(
     dist: DegreeDistribution,
     pi: float | None = None,
     mode: str = "bond",
-    tol: float = FIXED_POINT_TOL,
-    max_iters: int = FIXED_POINT_MAX_ITERS,
+    max_iters: int = MAX_SOLVER_ITERS,
 ) -> TheoryPrediction:
     """Predict the giant strongly connected component fraction.
 
@@ -265,10 +283,8 @@ def gscc_fraction(
     """
     if mode not in ("bond", "site", "none"):
         raise ValueError(f"mode must be 'bond', 'site' or 'none', got {mode!r}")
-    mu = _require_mu(dist)
-    mu11 = dist.mu11
-    if mu11 <= 0.0:
-        raise ZeroMu11Error("mu_11 is zero; no GSCC at any pi")
+    coeffs = _boundary_coefficients(dist)  # ZeroMeanDegreeError before ZeroMu11Error
+    pi_c = critical_threshold(dist).pi_c
     if mode == "none":
         pi_eff = 1.0
     elif pi is None:
@@ -276,19 +292,19 @@ def gscc_fraction(
     else:
         pi_eff = _check_pi(pi)
 
-    x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, pi_eff, tol, max_iters)
+    x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, coeffs, pi_eff, max_iters)
     c_site = pi_eff * c_bond
 
     if pi_eff == 1.0:
         zeta = c_bond
     else:
-        _, _, zeta, ziters, zresidual = _gscc_terms(dist, 1.0, tol, max_iters)
+        _, _, zeta, ziters, zresidual = _gscc_terms(dist, coeffs, 1.0, max_iters)
         iters += ziters
         residual = max(residual, zresidual)
 
     return TheoryPrediction(
         pi=pi_eff,
-        pi_c=mu / mu11,
+        pi_c=pi_c,
         x_star=x_star,
         y_star=y_star,
         c_bond=c_bond,

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.optimize import brentq
 
 from dipercolate import (
@@ -166,15 +168,13 @@ def test_critical_threshold_examples():
         critical_threshold(DegreeDistribution({(1, 0): 0.5, (0, 1): 0.5}))
 
 
-def test_solve_fixed_point_identity_map():
-    result = solve_fixed_point(lambda x: x)
-    assert result.x == 0.0
-    assert result.residual == 0.0
+# Coefficients of the map for independent Poisson(2) marginals: sum_d a[d] z^d = exp(2 (z - 1))
+POISSON2_COEFFS = stats.poisson.pmf(np.arange(60), 2.0)
 
 
 def test_solve_fixed_point_supercritical_map():
-    # map for independent Poisson(2) marginals at pi = 0.8
-    result = solve_fixed_point(lambda x: math.exp(1.6 * (x - 1.0)))
+    # map for independent Poisson(2) marginals at pi = 0.8: x -> exp(1.6 (x - 1))
+    result = solve_fixed_point(POISSON2_COEFFS, 0.8)
     oracle = brentq(lambda x: math.exp(1.6 * (x - 1.0)) - x, 0.0, 0.9, xtol=1e-14)
     assert result.x == pytest.approx(oracle, abs=1e-6)
     assert result.x == pytest.approx(0.35801868265830017, abs=1e-9)
@@ -184,14 +184,17 @@ def test_solve_fixed_point_supercritical_map():
 
 
 def test_solve_fixed_point_subcritical_map():
-    result = solve_fixed_point(lambda x: math.exp(0.8 * (x - 1.0)))
+    # x -> exp(0.8 (x - 1)): slope 0.8 at 1
+    result = solve_fixed_point(POISSON2_COEFFS, 0.4)
     assert result.x == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_fixed_point_budget():
-    result = solve_fixed_point(lambda x: 0.5 * (x + 0.9999), tol=1e-30, max_iters=50)
-    assert result.iters == 50
+    result = solve_fixed_point(POISSON2_COEFFS, 0.8, max_iters=2)
+    assert result.iters == 2
     assert result.residual > 0.0
+    # the unfinished bracket still bounds the error
+    assert abs(result.x - 0.35801868265830017) <= result.residual
 
 
 # ----- gscc_fraction ------------------------------------------------------------------
@@ -274,3 +277,80 @@ def test_gscc_zeta_poisson():
     x0 = _oracles.iterate_scalar_map(lambda x: math.exp(2.0 * (x - 1.0)))
     pred = gscc_fraction(POISSON2, 0.5, "bond")
     assert pred.zeta == pytest.approx((1 - x0) ** 2, abs=1e-8)
+
+
+# ----- accuracy down to pi_c ----------------------------------------------------------
+
+
+def _check_near_critical(dist, exact_c, ks, rel_tol):
+    pi_c = critical_threshold(dist).pi_c
+    for k in ks:
+        pi = pi_c * (1.0 + 10.0**-k)
+        pred = gscc_fraction(dist, pi, "bond")
+        exact = exact_c(pi)
+        assert abs(pred.c_bond - exact) <= rel_tol * exact, (k, pred.c_bond, exact)
+        # an exact count: critical slowing-down would show here first
+        assert pred.solver_iters <= 200, (k, pred.solver_iters)
+
+
+def test_gscc_constant_closed_form_near_critical():
+    # const:2: x = (1 - pi + pi x)^2 gives 1 - x = (2 pi - 1) / pi^2, c = (1 - x)^2.
+    # The table is exact and 2 pi - 1 is exact in floating point, so only a few
+    # ulps of rounding are left when no difference 1 - z^d cancels: 1e-13, not 1e-6.
+    _check_near_critical(
+        DegreeDistribution.constant(2), lambda pi: ((2 * pi - 1) / pi**2) ** 2, range(1, 9), 1e-13
+    )
+
+
+def test_gscc_poisson_closed_form_near_critical():
+    # poisson:2: s = 1 - x solves s = 1 - exp(-2 pi s), c = s^2; brentq on the
+    # equation divided by s, which has no root at s = 0
+    def exact_c(pi):
+        slope = 2.0 * pi
+        s = brentq(
+            lambda s: -math.expm1(-slope * s) / s - 1.0,
+            (slope - 1.0) / slope**2,
+            1.0,
+            xtol=1e-300,
+            rtol=1e-15,
+        )
+        return s * s
+
+    _check_near_critical(POISSON2, exact_c, range(1, 7), 1e-5)
+
+
+def test_gscc_geometric_closed_form_near_critical():
+    # geometric:0.3, P(k) = q^k p: x = p / (q pi), c = (1 - x)^2.  Deeper k would
+    # meet the floor of about 1e-12 * 10^k set by the table's 1e-12 tail truncation.
+    p, q = 0.3, 0.7
+    _check_near_critical(
+        DegreeDistribution.geometric(p), lambda pi: ((q * pi - p) / (q * pi)) ** 2, range(1, 6), 1e-5
+    )
+
+
+def test_solver_residual_bounds_error():
+    pi = 0.5 * (1.0 + 1e-4)
+    pred = gscc_fraction(DegreeDistribution.constant(2), pi, "bond")
+    x_exact = 1.0 - (2 * pi - 1) / pi**2
+    assert abs(pred.x_star - x_exact) <= pred.solver_residual + 4 * math.ulp(x_exact)
+
+
+def test_solver_residual_bounds_error_exactly():
+    # g(s) = G(s)/s - 1 of the float coefficients, evaluated in exact rational
+    # arithmetic, must change sign within ``residual`` of the returned s, near
+    # pi_c and far above it.
+    rng = np.random.Generator(np.random.Philox(7))
+    for _ in range(20):
+        coeffs = rng.random(9) ** 4
+        coeffs /= coeffs.sum()
+        exact = [Fraction(float(c)) for c in coeffs]
+        pi_c = 1.0 / float(np.arange(coeffs.size) @ coeffs)
+        for pi in (pi_c * (1.0 + 1e-6), pi_c * (1.0 + 1e-2), 0.5 * (pi_c + 1.0), 1.0):
+
+            def g(s):
+                t = Fraction(pi) * Fraction(s)
+                return sum(c * (1 - (1 - t) ** d) for d, c in enumerate(exact)) * Fraction(pi) / t - 1
+
+            result = solve_fixed_point(coeffs, pi)
+            assert g(result.s - result.residual) >= 0, (pi, result)
+            assert g(min(1.0, result.s + result.residual)) <= 0, (pi, result)
