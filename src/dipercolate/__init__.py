@@ -28,7 +28,6 @@ from .degrees import (
 )
 from .configmodel import (
     Digraph,
-    is_simple,
     matching_probability,
     read_edge_list,
     sample_configuration,
@@ -39,13 +38,11 @@ from .configmodel import (
 from .percolation import (
     PercolationOutcome,
     bond_percolate,
-    induced_degree_sequence,
     site_percolate,
 )
 from .components import (
     SccPartition,
     largest_scc_fraction,
-    strong_component_of,
     strongly_connected_components,
 )
 from .theory import (
@@ -55,7 +52,6 @@ from .theory import (
     bond_distribution,
     critical_threshold,
     gscc_fraction,
-    pgf_eval,
     site_distribution,
     solve_fixed_point,
     u_minus,
@@ -99,24 +95,20 @@ __all__ = [
     "matching_probability",
     "sample_simple",
     "simple_probability",
-    "is_simple",
     "read_edge_list",
     "write_edge_list",
     # percolation
     "PercolationOutcome",
     "bond_percolate",
     "site_percolate",
-    "induced_degree_sequence",
     # components
     "SccPartition",
     "strongly_connected_components",
     "largest_scc_fraction",
-    "strong_component_of",
     # theory
     "TheoryPrediction",
     "CriticalThreshold",
     "FixedPointResult",
-    "pgf_eval",
     "u_minus",
     "u_plus",
     "bond_distribution",

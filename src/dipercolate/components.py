@@ -9,70 +9,63 @@ reachability.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .configmodel import Digraph
-from .errors import EmptyGraphError, VertexOutOfRangeError
+from .errors import EmptyGraphError
 
 __all__ = [
     "SccPartition",
     "strongly_connected_components",
     "largest_scc_fraction",
-    "strong_component_of",
     "write_labels",
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class SccPartition:
     """Partition of the vertex set into strongly connected components.
 
     Attributes
     ----------
-    component_id : ndarray of int
+    component_id : ndarray of int, read-only
         Component label per vertex.
-    component_sizes : ndarray of int
+    component_sizes : ndarray of int, read-only
         Size per label (indexed by label).
-    largest : tuple (label, size)
-        A largest component; ties break to the lowest label.
     """
 
-    def __init__(self, component_id: np.ndarray, component_sizes: np.ndarray):
-        component_id = np.asarray(component_id)
-        component_sizes = np.asarray(component_sizes)
-        component_id.setflags(write=False)
-        component_sizes.setflags(write=False)
-        self.component_id = component_id
-        self.component_sizes = component_sizes
-        if component_sizes.size:
-            label = int(np.argmax(component_sizes))
-            self.largest = (label, int(component_sizes[label]))
-        else:
-            self.largest = (-1, 0)
+    component_id: np.ndarray
+    component_sizes: np.ndarray
+
+    def __post_init__(self):
+        self.component_id.setflags(write=False)
+        self.component_sizes.setflags(write=False)
 
     @property
     def count(self) -> int:
         return self.component_sizes.size
 
-    def members(self, label: int) -> set[int]:
-        return set(np.flatnonzero(self.component_id == label).tolist())
-
-    def __repr__(self) -> str:
-        return f"SccPartition(count={self.count}, largest={self.largest})"
-
-
-def _adjacency(g: Digraph) -> csr_matrix:
-    data = np.ones(g.m, dtype=np.int8)
-    return csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
+    @property
+    def largest(self) -> tuple[int, int]:
+        """(label, size) of a largest component; ties break to the lowest label."""
+        if not self.component_sizes.size:
+            return (-1, 0)
+        label = int(np.argmax(self.component_sizes))
+        return (label, int(self.component_sizes[label]))
 
 
 def strongly_connected_components(g: Digraph) -> SccPartition:
     """Label every vertex with its strongly connected component."""
     if g.n == 0:
         return SccPartition(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
+    data = np.ones(g.m, dtype=np.int8)
+    adjacency = csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
     ncomp, labels = connected_components(
-        _adjacency(g), directed=True, connection="strong"
+        adjacency, directed=True, connection="strong"
     )
     sizes = np.bincount(labels, minlength=ncomp)
     return SccPartition(labels, sizes)
@@ -85,22 +78,8 @@ def largest_scc_fraction(g: Digraph) -> float:
     return strongly_connected_components(g).largest[1] / g.n
 
 
-def strong_component_of(g: Digraph, v: int) -> set[int]:
-    """Vertices reachable from ``v`` in both directions (including ``v``).
-
-    Computed as the intersection of forward and backward BFS reachability,
-    independently of the partition routine.
-    """
-    if not 0 <= v < g.n:
-        raise VertexOutOfRangeError(f"vertex {v} outside [0, {g.n})")
-    adj = _adjacency(g)
-    forward = breadth_first_order(adj, v, directed=True, return_predecessors=False)
-    backward = breadth_first_order(adj.T, v, directed=True, return_predecessors=False)
-    return set(np.intersect1d(forward, backward).tolist())
-
-
 def write_labels(partition: SccPartition, path) -> None:
-    """Dump `vertex label` lines (debugging aid)."""
+    """Write one `vertex label` line per vertex (``dipercolate scc --labels-out``)."""
     with open(path, "w", encoding="utf-8") as fh:
         for v, label in enumerate(partition.component_id.tolist()):
             fh.write(f"{v} {label}\n")

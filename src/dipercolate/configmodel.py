@@ -20,12 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degrees import DegreeDistribution, DegreeSequence, is_graphical
+from .degrees import DegreeDistribution, DegreeSequence, is_graphical, require_valid
 from .errors import (
     AttemptsExhaustedError,
     DegreeMismatchError,
     DistributionFormatError,
-    InvalidSequenceError,
     NotGraphicalError,
     ZeroMeanDegreeError,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "matching_probability",
     "sample_simple",
     "simple_probability",
-    "is_simple",
     "read_edge_list",
     "write_edge_list",
 ]
@@ -113,27 +111,10 @@ class Digraph:
 
 
 def _edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
-    m = src.size
-    if m == 0:
-        return True
-    if m <= 64:
-        seen = set()
-        for e in zip(src.tolist(), dst.tolist()):
-            if e[0] == e[1] or e in seen:
-                return False
-            seen.add(e)
-        return True
     if (src == dst).any():
         return False
     key = np.sort(src * np.int64(n) + dst)
     return bool((key[1:] != key[:-1]).all())
-
-
-def _require_valid(seq: DegreeSequence) -> None:
-    if seq.in_sum != seq.out_sum:
-        raise InvalidSequenceError(
-            f"in-degree sum {seq.in_sum} != out-degree sum {seq.out_sum}"
-        )
 
 
 def _stub_owners(seq: DegreeSequence):
@@ -157,15 +138,10 @@ def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digra
     ``permutation``) against the in-stub owners kept in canonical vertex
     order, which makes all m! matchings equally likely.
     """
-    _require_valid(seq)
+    require_valid(seq)
     in_owner, out_owner = _stub_owners(seq)
     src = rng.permutation(out_owner) if out_owner.size else out_owner
     return Digraph(seq.n, src, in_owner, copy=False, check=False)
-
-
-def is_simple(g: Digraph) -> bool:
-    """True iff ``g`` has no self-loops and no edge multiplicity above 1."""
-    return g.simple
 
 
 def matching_probability(g: Digraph, seq: DegreeSequence):
@@ -179,7 +155,7 @@ def matching_probability(g: Digraph, seq: DegreeSequence):
     DegreeMismatchError
         If ``g`` does not realize ``seq``.
     """
-    _require_valid(seq)
+    require_valid(seq)
     if g.n != seq.n:
         raise DegreeMismatchError(f"graph has {g.n} vertices, sequence {seq.n}")
     profile = g.degree_sequence()
@@ -288,8 +264,10 @@ def read_edge_list(path) -> Digraph:
     """Read the edge-list format; vertex count comes from the `n=` header.
 
     Files without a header are accepted with n inferred as max vertex id + 1.
+    A header `n=` or `m=` that is not an integer, or an `m=` other than the
+    number of edges read, raises :class:`DistributionFormatError`.
     """
-    n = None
+    header: dict[str, int] = {}
     src: list[int] = []
     dst: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -299,11 +277,12 @@ def read_edge_list(path) -> Digraph:
                 continue
             if line.startswith("#"):
                 for token in line[1:].split():
-                    if token.startswith("n="):
+                    key, sep, value = token.partition("=")
+                    if sep and key in ("n", "m"):
                         try:
-                            n = int(token[2:])
-                        except ValueError:
-                            pass
+                            header[key] = int(value)
+                        except ValueError as exc:
+                            raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
                 continue
             fields = line.split()
             if len(fields) != 2:
@@ -315,6 +294,11 @@ def read_edge_list(path) -> Digraph:
                 dst.append(int(fields[1]))
             except ValueError as exc:
                 raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
+    if header.get("m", len(src)) != len(src):
+        raise DistributionFormatError(
+            f"{path}: header says m={header['m']}, read {len(src)} edges"
+        )
+    n = header.get("n")
     if n is None:
         n = max(max(src, default=-1), max(dst, default=-1)) + 1
     return Digraph(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), copy=False)

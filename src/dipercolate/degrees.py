@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -37,6 +37,7 @@ __all__ = [
     "PropernessReport",
     "Validity",
     "validate",
+    "require_valid",
     "is_graphical",
     "empirical_distribution",
     "properness_report",
@@ -54,6 +55,9 @@ MOMENT_ORDERS = tuple((i, l) for i in range(3) for l in range(3))
 # Tail mass removed when truncating infinite-support families (shared between
 # the two marginals, so each keeps all but half of it).
 FAMILY_TAIL_MASS = 1e-12
+
+MASS_TOL = 1e-6  # allowed distance of a table's total mass from 1
+MAX_REDRAWS_PER_VERTEX = 100  # realize_sequence's repair budget
 
 
 class DegreeSequence:
@@ -141,26 +145,25 @@ class DegreeSequence:
         return f"DegreeSequence(n={self.n}, m={self.m}, d_max={self.d_max})"
 
 
-class Validity:
+class Validity(NamedTuple):
     """Verdict of :func:`validate`: equal in/out sums make a sequence valid."""
 
-    __slots__ = ("valid", "in_sum", "out_sum")
-
-    def __init__(self, valid: bool, in_sum: int, out_sum: int):
-        self.valid = valid
-        self.in_sum = in_sum
-        self.out_sum = out_sum
-
-    def __iter__(self):
-        return iter((self.valid, self.in_sum, self.out_sum))
-
-    def __repr__(self) -> str:
-        return f"Validity(valid={self.valid}, in_sum={self.in_sum}, out_sum={self.out_sum})"
+    valid: bool
+    in_sum: int
+    out_sum: int
 
 
 def validate(seq: DegreeSequence) -> Validity:
     """Check directed balance: sum of in-degrees == sum of out-degrees."""
     return Validity(seq.in_sum == seq.out_sum, seq.in_sum, seq.out_sum)
+
+
+def require_valid(seq: DegreeSequence) -> None:
+    """Raise :class:`InvalidSequenceError` unless the in- and out-degree sums agree."""
+    if seq.in_sum != seq.out_sum:
+        raise InvalidSequenceError(
+            f"in-degree sum {seq.in_sum} != out-degree sum {seq.out_sum}"
+        )
 
 
 def is_graphical(seq: DegreeSequence) -> bool:
@@ -181,11 +184,7 @@ def is_graphical(seq: DegreeSequence) -> bool:
     InvalidSequenceError
         If the in- and out-degree sums differ.
     """
-    v = validate(seq)
-    if not v.valid:
-        raise InvalidSequenceError(
-            f"in-degree sum {v.in_sum} != out-degree sum {v.out_sum}"
-        )
+    require_valid(seq)
     cached = getattr(seq, "_graphical", None)
     if cached is None:
         cached = _fulkerson_chen_anstee(seq)
@@ -214,7 +213,7 @@ class DegreeDistribution:
     """Sparse bivariate probability table p[j, k] over (in, out) degree pairs.
 
     The table is renormalized to total mass exactly 1 at construction (the
-    input must already sum to 1 within ``mass_tol``) and rejected with
+    input must already sum to 1 within ``MASS_TOL``) and rejected with
     :class:`ImbalanceError` if the mean in-degree and mean out-degree differ
     by more than 1e-9.
 
@@ -235,7 +234,6 @@ class DegreeDistribution:
         self,
         probs: Mapping[tuple[int, int], float],
         truncation_loss: float = 0.0,
-        mass_tol: float = 1e-6,
     ):
         items = sorted((int(j), int(k), float(p)) for (j, k), p in probs.items())
         if not items:
@@ -248,9 +246,9 @@ class DegreeDistribution:
         if ps.min() < 0:
             raise DistributionFormatError("probabilities must be nonnegative")
         total = ps.sum()
-        if not math.isfinite(total) or abs(total - 1.0) > mass_tol:
+        if not math.isfinite(total) or abs(total - 1.0) > MASS_TOL:
             raise DistributionFormatError(
-                f"probabilities sum to {total!r}, expected 1 +/- {mass_tol}"
+                f"probabilities sum to {total!r}, expected 1 +/- {MASS_TOL}"
             )
         keep = ps > 0.0
         js, ks, ps = js[keep], ks[keep], ps[keep]
@@ -292,9 +290,6 @@ class DegreeDistribution:
     def mu02(self) -> float:
         return self.moments[(0, 2)]
 
-    def moment(self, i: int, l: int) -> float:
-        return self.moments[(i, l)]
-
     @property
     def max_in(self) -> int:
         return int(self.js.max())
@@ -324,8 +319,8 @@ class DegreeDistribution:
     # ----- named families -------------------------------------------------
 
     @classmethod
-    def poisson(cls, lam: float, tail: float = FAMILY_TAIL_MASS) -> "DegreeDistribution":
-        """Independent in/out Poisson(lam) marginals, truncated at ``tail`` mass."""
+    def poisson(cls, lam: float) -> "DegreeDistribution":
+        """Independent in/out Poisson(lam) marginals, truncated at FAMILY_TAIL_MASS."""
         if lam < 0:
             raise ValueError("lam must be nonnegative")
         if lam == 0:
@@ -333,11 +328,11 @@ class DegreeDistribution:
         # The same ufuncs scipy.stats.poisson calls (sf, pmf), without importing
         # scipy.stats, which costs about 20 MB of memory.
         kmax = 0
-        while special.pdtrc(kmax, lam) >= tail / 2.0:
+        while special.pdtrc(kmax, lam) >= FAMILY_TAIL_MASS / 2.0:
             kmax += 1
         k = np.arange(kmax + 1)
         marg = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
-        return cls._from_product(marg, tail)
+        return cls._from_product(marg)
 
     @classmethod
     def constant(cls, d: int) -> "DegreeDistribution":
@@ -347,34 +342,35 @@ class DegreeDistribution:
         return cls({(int(d), int(d)): 1.0})
 
     @classmethod
-    def geometric(cls, p: float, tail: float = FAMILY_TAIL_MASS) -> "DegreeDistribution":
+    def geometric(cls, p: float) -> "DegreeDistribution":
         """Independent in/out Geometric(p) marginals on {0, 1, ...}: P(k) = (1-p)^k p."""
         if not 0.0 < p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
         if p == 1.0:
             return cls({(0, 0): 1.0})
-        kmax = max(0, math.ceil(math.log(tail / 2.0) / math.log1p(-p)) - 1)
-        while (1.0 - p) ** (kmax + 1) >= tail / 2.0:
+        kmax = max(0, math.ceil(math.log(FAMILY_TAIL_MASS / 2.0) / math.log1p(-p)) - 1)
+        while (1.0 - p) ** (kmax + 1) >= FAMILY_TAIL_MASS / 2.0:
             kmax += 1
         marg = p * (1.0 - p) ** np.arange(kmax + 1, dtype=np.float64)
-        return cls._from_product(marg, tail)
+        return cls._from_product(marg)
 
     @classmethod
-    def _from_product(cls, marginal: np.ndarray, tail: float) -> "DegreeDistribution":
+    def _from_product(cls, marginal: np.ndarray) -> "DegreeDistribution":
         table = np.outer(marginal, marginal)
         kept = table.sum()
         loss = 1.0 - kept
-        if loss >= tail * 2:
+        if loss >= FAMILY_TAIL_MASS * 2:
             raise DistributionFormatError(
                 f"truncation removed {loss!r} mass, more than requested"
             )
-        probs = {
-            (j, k): table[j, k]
-            for j in range(table.shape[0])
-            for k in range(table.shape[1])
-            if table[j, k] > 0.0
-        }
-        return cls(probs, truncation_loss=max(loss, 0.0))
+        return cls.from_table(table, truncation_loss=max(loss, 0.0))
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, truncation_loss: float = 0.0) -> "DegreeDistribution":
+        """Distribution over the positive entries of a dense 2-D table p[j, k]."""
+        js, ks = np.nonzero(table > 0.0)
+        probs = dict(zip(zip(js.tolist(), ks.tolist()), table[js, ks].tolist()))
+        return cls(probs, truncation_loss=truncation_loss)
 
 
 def empirical_distribution(
@@ -437,11 +433,7 @@ def properness_report(seq: DegreeSequence) -> PropernessReport:
     InvalidSequenceError
         If the in- and out-degree sums differ.
     """
-    v = validate(seq)
-    if not v.valid:
-        raise InvalidSequenceError(
-            f"in-degree sum {v.in_sum} != out-degree sum {v.out_sum}"
-        )
+    require_valid(seq)
     n = seq.n
     d_max = seq.d_max
     if n >= 2:
@@ -483,14 +475,14 @@ def realize_sequence(
     dist: DegreeDistribution,
     n: int,
     rng: np.random.Generator,
-    max_redraw_factor: int = 100,
 ) -> DegreeSequence:
     """Draw a valid n-vertex degree sequence approximately iid from ``dist``.
 
     Pairs are drawn iid; while the in- and out-sums disagree, one uniformly
-    chosen vertex has its pair redrawn from ``dist``.  The redraw budget is
-    ``max_redraw_factor * n``; exceeding it raises :class:`RepairFailedError`
-    (this happens for pathological tables whose sums can never balance).
+    chosen vertex has its pair redrawn from ``dist``.  :class:`RepairFailedError`
+    is raised after ``MAX_REDRAWS_PER_VERTEX * n`` redraws, or before any draw
+    when the sums can never balance: each d = j - k on the support is d[0]
+    modulo g = gcd(d - d[0]), so every imbalance is n * d[0] modulo g.
 
     The repair perturbs the iid marginals only slightly: when the table is
     balanced in expectation the sum difference is a mean-zero random walk
@@ -498,9 +490,16 @@ def realize_sequence(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    d = dist.js - dist.ks
+    g = int(np.gcd.reduce(d - d[0]))
+    if g and n * int(d[0]) % g:
+        raise RepairFailedError(
+            f"degree sums can never balance at n={n}: every imbalance is "
+            f"{n * int(d[0]) % g} modulo {g}"
+        )
     ins, outs = dist.sample_pairs(n, rng)
     diff = int(ins.sum()) - int(outs.sum())
-    budget = max_redraw_factor * n
+    budget = MAX_REDRAWS_PER_VERTEX * n
     redraws = 0
     while diff != 0:
         if redraws >= budget:

@@ -64,9 +64,5 @@ class EmptyGraphError(DipercolateError, ValueError):
     """Operation requires a graph with at least one vertex."""
 
 
-class VertexOutOfRangeError(DipercolateError, IndexError):
-    """Vertex id outside [0, n)."""
-
-
 class ConfigError(DipercolateError, ValueError):
     """Invalid experiment configuration."""

@@ -158,7 +158,8 @@ def _run_trial(
     pi = config.pi_grid[pi_index]
     t0 = time.perf_counter()
     total_attempts = 0
-    seed = trial_seed(config.master_seed, pi_index, trial_index, 0)
+    m_before = m_after = deleted = largest = 0
+    status = "failed"
     for round_index in range(TRIAL_ROUNDS):
         seed = trial_seed(config.master_seed, pi_index, trial_index, round_index)
         rng = make_rng(seed)
@@ -178,36 +179,25 @@ def _run_trial(
             outcome = bond_percolate(graph, pi, rng)
         else:
             outcome = site_percolate(graph, pi, rng)
+        m_before, m_after = graph.m, outcome.surviving_edges
+        deleted = int(outcome.deleted_vertices.size)
         largest = strongly_connected_components(outcome.graph).largest[1]
-        elapsed = int((time.perf_counter() - t0) * 1000) if config.record_timing else 0
-        return TrialRecord(
-            pi=pi,
-            trial=trial_index,
-            seed=seed,
-            n=config.n,
-            m_before=graph.m,
-            m_after=outcome.surviving_edges,
-            deleted=int(outcome.deleted_vertices.size),
-            scc_size=largest,
-            scc_fraction=largest / config.n,
-            attempts=total_attempts,
-            elapsed_ms=elapsed,
-            status="ok",
-        )
+        status = "ok"
+        break
     elapsed = int((time.perf_counter() - t0) * 1000) if config.record_timing else 0
     return TrialRecord(
         pi=pi,
         trial=trial_index,
         seed=seed,
         n=config.n,
-        m_before=0,
-        m_after=0,
-        deleted=0,
-        scc_size=0,
-        scc_fraction=0.0,
+        m_before=m_before,
+        m_after=m_after,
+        deleted=deleted,
+        scc_size=largest,
+        scc_fraction=largest / config.n,
         attempts=total_attempts,
         elapsed_ms=elapsed,
-        status="failed",
+        status=status,
     )
 
 

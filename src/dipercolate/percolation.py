@@ -12,59 +12,47 @@ pi = 0 is rejected because downstream quantities divide by pi.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .configmodel import Digraph
-from .degrees import DegreeSequence
 from .errors import PiOutOfRangeError
 
 __all__ = [
     "PercolationOutcome",
     "bond_percolate",
     "site_percolate",
-    "induced_degree_sequence",
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class PercolationOutcome:
     """Result of one percolation pass.
 
     Attributes
     ----------
     graph : Digraph
-        The percolated graph on the original vertex set.
+        The percolated graph on the original vertex set; its
+        ``degree_sequence()`` is the induced degree profile.
     mode : str
         ``"bond"`` or ``"site"``.
     pi : float
-    surviving_edges : int
-    deleted_vertices : ndarray of int64
+    deleted_vertices : ndarray of int64, read-only
         Sorted ids of deleted vertices (empty for bond mode).
-    induced_sequence : DegreeSequence
-        Degree profile recomputed from the percolated edge multiset (lazy).
     """
 
-    def __init__(self, graph: Digraph, mode: str, pi: float, deleted_vertices: np.ndarray):
-        deleted_vertices = np.asarray(deleted_vertices, dtype=np.int64)
-        deleted_vertices.setflags(write=False)
-        self.graph = graph
-        self.mode = mode
-        self.pi = float(pi)
-        self.surviving_edges = graph.m
-        self.deleted_vertices = deleted_vertices
-        self._induced = None
+    graph: Digraph
+    mode: str
+    pi: float
+    deleted_vertices: np.ndarray
+
+    def __post_init__(self):
+        self.deleted_vertices.setflags(write=False)
 
     @property
-    def induced_sequence(self) -> DegreeSequence:
-        if self._induced is None:
-            self._induced = self.graph.degree_sequence()
-        return self._induced
-
-    def __repr__(self) -> str:
-        return (
-            f"PercolationOutcome(mode={self.mode!r}, pi={self.pi}, "
-            f"surviving_edges={self.surviving_edges}, "
-            f"deleted={self.deleted_vertices.size})"
-        )
+    def surviving_edges(self) -> int:
+        return self.graph.m
 
 
 def _check_pi(pi: float) -> float:
@@ -107,7 +95,3 @@ def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> Percolati
     percolated = Digraph(g.n, kept_src, kept_dst, copy=False, check=False)
     return PercolationOutcome(percolated, "site", pi, deleted)
 
-
-def induced_degree_sequence(outcome: PercolationOutcome) -> DegreeSequence:
-    """Per-vertex degrees recomputed from the percolated edge multiset."""
-    return outcome.graph.degree_sequence()

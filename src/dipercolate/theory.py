@@ -41,7 +41,6 @@ __all__ = [
     "TheoryPrediction",
     "CriticalThreshold",
     "FixedPointResult",
-    "pgf_eval",
     "u_minus",
     "u_plus",
     "bond_distribution",
@@ -68,13 +67,6 @@ def _require_mu(dist: DegreeDistribution) -> float:
     if mu <= 0.0:
         raise ZeroMeanDegreeError("mean degree is zero")
     return mu
-
-
-def pgf_eval(dist: DegreeDistribution, x: float, y: float) -> float:
-    """Evaluate U(x, y) = sum p[j,k] x^j y^k for x, y in [0, 1]."""
-    x = _check_unit_interval("x", x)
-    y = _check_unit_interval("y", y)
-    return float(np.sum(dist.ps * x**dist.js * y**dist.ks))
 
 
 def _boundary_coefficients(dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -118,13 +110,7 @@ def bond_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution
     rows = {d: stats.binom.pmf(np.arange(d + 1), d, pi) for d in degrees}
     for j, k, p in zip(dist.js.tolist(), dist.ks.tolist(), dist.ps.tolist()):
         table[: j + 1, : k + 1] += p * np.outer(rows[j], rows[k])
-    probs = {
-        (j, k): table[j, k]
-        for j in range(table.shape[0])
-        for k in range(table.shape[1])
-        if table[j, k] > 0.0
-    }
-    return DegreeDistribution(probs)
+    return DegreeDistribution.from_table(table)
 
 
 def site_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution:
@@ -249,7 +235,7 @@ class TheoryPrediction:
         return dataclasses.asdict(self)
 
 
-def _gscc_terms(dist, coeffs, pi, max_iters):
+def _gscc_terms(dist, coeffs, pi):
     """Fixed points and component fraction for percolation probability ``pi``.
 
     Returns (x_star, y_star, c, iters, residual); c = 0 with fixed points 1
@@ -257,8 +243,8 @@ def _gscc_terms(dist, coeffs, pi, max_iters):
     """
     if pi * dist.mu11 / dist.mu <= 1.0:
         return 1.0, 1.0, 0.0, 0, 0.0
-    rx = solve_fixed_point(coeffs[0], pi, max_iters)
-    ry = solve_fixed_point(coeffs[1], pi, max_iters)
+    rx = solve_fixed_point(coeffs[0], pi)
+    ry = solve_fixed_point(coeffs[1], pi)
     # 1 - x'^j with x' = 1 - pi s_x, likewise for y
     c = dist.ps @ (_one_minus_pow(pi * rx.s, dist.js) * _one_minus_pow(pi * ry.s, dist.ks))
     return rx.x, ry.x, min(1.0, float(c)), rx.iters + ry.iters, max(rx.residual, ry.residual)
@@ -268,7 +254,6 @@ def gscc_fraction(
     dist: DegreeDistribution,
     pi: float | None = None,
     mode: str = "bond",
-    max_iters: int = MAX_SOLVER_ITERS,
 ) -> TheoryPrediction:
     """Predict the giant strongly connected component fraction.
 
@@ -292,13 +277,13 @@ def gscc_fraction(
     else:
         pi_eff = _check_pi(pi)
 
-    x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, coeffs, pi_eff, max_iters)
+    x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, coeffs, pi_eff)
     c_site = pi_eff * c_bond
 
     if pi_eff == 1.0:
         zeta = c_bond
     else:
-        _, _, zeta, ziters, zresidual = _gscc_terms(dist, coeffs, 1.0, max_iters)
+        _, _, zeta, ziters, zresidual = _gscc_terms(dist, coeffs, 1.0)
         iters += ziters
         residual = max(residual, zresidual)
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: components come from
-a boolean-matrix reachability closure, configuration-model probabilities
-from explicit enumeration of all m! stub matchings, and graphicality from
-exhaustive search over all simple digraphs on labeled vertices.
+a boolean-matrix reachability closure or from forward and backward BFS,
+configuration-model probabilities from explicit enumeration of all m! stub
+matchings, graphicality from exhaustive search over all simple digraphs on
+labeled vertices, and generating functions from direct summation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 
 def configuration_outcome_counts(in_degrees, out_degrees):
@@ -47,6 +50,32 @@ def mutual_reachability_labels(n, src, dst):
         key = mutual[v].tobytes()
         labels.append(seen.setdefault(key, len(seen)))
     return labels
+
+
+class VertexOutOfRangeError(IndexError):
+    """Vertex id outside [0, n)."""
+
+
+def strong_component_of(g, v):
+    """Vertices reachable from ``v`` in both directions (including ``v``).
+
+    Computed as the intersection of forward and backward BFS reachability,
+    independently of the partition routine.
+    """
+    if not 0 <= v < g.n:
+        raise VertexOutOfRangeError(f"vertex {v} outside [0, {g.n})")
+    adj = csr_matrix((np.ones(g.m, dtype=np.int8), (g.src, g.dst)), shape=(g.n, g.n))
+    forward = breadth_first_order(adj, v, directed=True, return_predecessors=False)
+    backward = breadth_first_order(adj.T, v, directed=True, return_predecessors=False)
+    return set(np.intersect1d(forward, backward).tolist())
+
+
+def pgf_eval(dist, x, y):
+    """Evaluate U(x, y) = sum p[j,k] x^j y^k for x, y in [0, 1]."""
+    for name, value in (("x", x), ("y", y)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(np.sum(dist.ps * x**dist.js * y**dist.ks))
 
 
 def canonical_labels(labels):

@@ -26,7 +26,6 @@ from dipercolate import (
     empirical_distribution,
     gscc_fraction,
     is_graphical,
-    is_simple,
     matching_probability,
     realize_sequence,
     run_experiment,
@@ -202,7 +201,7 @@ def test_c07_percolated_degree_distribution():
         seq = realize_sequence(dist, 100_000, rng)
         g, _ = sample_simple(seq, rng)
         outcome = bond_percolate(g, 0.8, rng)
-        empirical, _ = empirical_distribution(outcome.induced_sequence)
+        empirical, _ = empirical_distribution(outcome.graph.degree_sequence())
         tv = total_variation(empirical, bond_distribution(dist, 0.8))
         assert tv < 0.01
         c.done(f"total variation {tv:.4f} < 0.01")
@@ -266,7 +265,7 @@ def test_c11_simple_probability_discrimination():
         for _ in range(batches):
             seq = realize_sequence(dist, n, rng)
             for _ in range(per_batch):
-                simple_count += is_simple(sample_configuration(seq, rng))
+                simple_count += sample_configuration(seq, rng).simple
         attempts = batches * per_batch
         rate = simple_count / attempts
         sigma = math.sqrt(rate * (1.0 - rate) / attempts)

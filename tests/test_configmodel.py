@@ -9,7 +9,6 @@ from dipercolate import (
     DegreeDistribution,
     DegreeSequence,
     Digraph,
-    is_simple,
     matching_probability,
     read_edge_list,
     sample_configuration,
@@ -20,6 +19,7 @@ from dipercolate import (
 from dipercolate.errors import (
     AttemptsExhaustedError,
     DegreeMismatchError,
+    DistributionFormatError,
     InvalidSequenceError,
     NotGraphicalError,
     ZeroMeanDegreeError,
@@ -59,11 +59,11 @@ def test_digraph_fields():
     ],
 )
 def test_is_simple(n, src, dst, simple):
-    assert is_simple(Digraph(n, src, dst)) == simple
+    assert Digraph(n, src, dst).simple == simple
 
 
 def test_is_simple_large_path():
-    # above the small-m fast path: 100 distinct edges, then one duplicated
+    # 100 distinct edges, then one duplicated
     src = np.arange(100) % 10
     dst = (np.arange(100) // 10 + 1 + src) % 11
     g = Digraph(11, src, dst)
@@ -289,3 +289,20 @@ def test_edge_list_comments(tmp_path):
     assert lines[0] == "# n=2 m=1 seed=none"
     assert lines[1] == "# mode=bond pi=0.5 deleted=0"
     assert read_edge_list(path).edges == [(0, 1)]
+
+
+def test_edge_list_edge_count_must_match_header(tmp_path):
+    path = tmp_path / "truncated.txt"
+    path.write_text("# n=3 m=3 seed=none\n0 1\n1 2\n")
+    with pytest.raises(DistributionFormatError, match="m=3") as info:
+        read_edge_list(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("header", ["# n=abc m=2", "# n=6 m=two"])
+def test_edge_list_header_counts_must_be_integers(tmp_path, header):
+    path = tmp_path / "mislabelled.txt"
+    path.write_text(f"{header}\n0 5\n5 0\n")
+    with pytest.raises(DistributionFormatError) as info:
+        read_edge_list(path)
+    assert str(path) in str(info.value)

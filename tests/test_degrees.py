@@ -253,6 +253,23 @@ def test_realize_repair_failure():
         realize_sequence(dist, 1, rng_for(0))
 
 
+def test_realize_unbalanceable_fails_before_drawing():
+    # every vertex adds an odd imbalance (1 or -1), so odd n never balances
+    dist = DegreeDistribution({(2, 1): 0.5, (0, 1): 0.5})
+    rng = rng_for(0)
+    state = rng.bit_generator.state
+    with pytest.raises(RepairFailedError, match="modulo 2"):
+        realize_sequence(dist, 1001, rng)
+    np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+def test_realize_repair_budget_when_lattice_allows():
+    # gcd of the imbalances 4, -1, -3 is 1, yet no single pair has j == k
+    dist = DegreeDistribution({(4, 0): 1 / 3, (0, 1): 1 / 3, (0, 3): 1 / 3})
+    with pytest.raises(RepairFailedError, match="redraws"):
+        realize_sequence(dist, 1, rng_for(0))
+
+
 def test_realize_rejects_bad_n():
     with pytest.raises(ValueError):
         realize_sequence(DegreeDistribution.constant(1), 0, rng_for(0))

@@ -6,7 +6,6 @@ from dipercolate import (
     DegreeSequence,
     Digraph,
     bond_percolate,
-    induced_degree_sequence,
     sample_simple,
     site_percolate,
     validate,
@@ -37,7 +36,7 @@ def test_identity_at_pi_one(mode):
     assert out.graph.n == g.n
     assert out.surviving_edges == g.m
     assert out.deleted_vertices.size == 0
-    assert induced_degree_sequence(out) == g.degree_sequence()
+    assert out.graph.degree_sequence() == g.degree_sequence()
 
 
 @pytest.mark.parametrize("mode", [bond_percolate, site_percolate])
@@ -61,7 +60,7 @@ def test_site_deleted_vertices_have_degree_zero():
     g = Digraph(5, [0, 1, 2, 3, 4], [1, 2, 3, 4, 0])
     for seed in range(20):
         out = site_percolate(g, 0.5, rng_for(seed))
-        seq = induced_degree_sequence(out)
+        seq = out.graph.degree_sequence()
         part = strongly_connected_components(out.graph)
         for v in out.deleted_vertices.tolist():
             assert seq.in_degrees[v] == 0 and seq.out_degrees[v] == 0
@@ -76,7 +75,7 @@ def test_site_deleted_vertices_have_degree_zero():
 def test_induced_sequence_empty_graph():
     g = Digraph(3, [], [])
     out = bond_percolate(g, 0.5, rng_for(0))
-    assert induced_degree_sequence(out).pairs == [(0, 0)] * 3
+    assert out.graph.degree_sequence().pairs == [(0, 0)] * 3
 
 
 def test_induced_sequence_always_valid():
@@ -84,7 +83,7 @@ def test_induced_sequence_always_valid():
     for seed in range(10):
         for mode in (bond_percolate, site_percolate):
             out = mode(g, 0.6, rng_for(seed))
-            assert validate(induced_degree_sequence(out)).valid
+            assert validate(out.graph.degree_sequence()).valid
 
 
 def test_percolation_deterministic_and_seed_sensitive():
@@ -159,7 +158,7 @@ def test_bond_per_vertex_binomial_thinning():
     trials = 60_000
     counts = np.zeros((3, 4))
     for _ in range(trials):
-        seq = induced_degree_sequence(bond_percolate(g, pi, rng))
+        seq = bond_percolate(g, pi, rng).graph.degree_sequence()
         counts[seq.in_degrees[0], seq.out_degrees[0]] += 1
     expected = trials * np.outer(
         stats.binom.pmf(np.arange(3), 2, pi), stats.binom.pmf(np.arange(4), 3, pi)
