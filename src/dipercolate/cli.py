@@ -31,6 +31,7 @@ from .degrees import (
     read_sequence,
     realize_sequence,
     validate,
+    write_int_rows,
 )
 from .errors import DipercolateError
 from .experiments import config_from_mapping, load_config, make_rng, run_experiment
@@ -155,8 +156,7 @@ def _cmd_percolate(args) -> int:
     )
     if args.deleted_out:
         with open(args.deleted_out, "w", encoding="utf-8") as fh:
-            for v in outcome.deleted_vertices.tolist():
-                fh.write(f"{v}\n")
+            write_int_rows(fh, outcome.deleted_vertices)
     return 0
 
 

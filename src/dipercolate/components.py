@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .configmodel import Digraph
+from .degrees import write_int_rows
 from .errors import EmptyGraphError
 
 __all__ = [
@@ -80,6 +81,6 @@ def largest_scc_fraction(g: Digraph) -> float:
 
 def write_labels(partition: SccPartition, path) -> None:
     """Write one `vertex label` line per vertex (``dipercolate scc --labels-out``)."""
+    labels = partition.component_id
     with open(path, "w", encoding="utf-8") as fh:
-        for v, label in enumerate(partition.component_id.tolist()):
-            fh.write(f"{v} {label}\n")
+        write_int_rows(fh, np.arange(labels.size), labels)

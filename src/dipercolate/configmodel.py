@@ -20,7 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degrees import DegreeDistribution, DegreeSequence, is_graphical, require_valid
+from .degrees import (
+    DegreeDistribution,
+    DegreeSequence,
+    is_graphical,
+    read_int_rows,
+    require_valid,
+    write_int_rows,
+)
 from .errors import (
     AttemptsExhaustedError,
     DegreeMismatchError,
@@ -250,8 +257,7 @@ def write_edge_list(g: Digraph, path, seed=None, comments: list[str] | None = No
         fh.write(f"# n={g.n} m={g.m} seed={seed_txt}\n")
         for extra in comments or []:
             fh.write(f"# {extra}\n")
-        for s, t in zip(g.src.tolist(), g.dst.tolist()):
-            fh.write(f"{s} {t}\n")
+        write_int_rows(fh, g.src, g.dst)
 
     if hasattr(path, "write"):
         emit(path)
@@ -264,41 +270,40 @@ def read_edge_list(path) -> Digraph:
     """Read the edge-list format; vertex count comes from the `n=` header.
 
     Files without a header are accepted with n inferred as max vertex id + 1.
-    A header `n=` or `m=` that is not an integer, or an `m=` other than the
-    number of edges read, raises :class:`DistributionFormatError`.
+    A header `n=` or `m=` that is not an integer, an `m=` other than the
+    number of edges read, or an edge line that is not two integers (a
+    trailing ``#`` comment is allowed) raises :class:`DistributionFormatError`.
     """
-    header: dict[str, int] = {}
-    src: list[int] = []
-    dst: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, sep, value = token.partition("=")
-                    if sep and key in ("n", "m"):
-                        try:
-                            header[key] = int(value)
-                        except ValueError as exc:
-                            raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise DistributionFormatError(
-                    f"{path}:{lineno}: expected 'source target', got {raw.strip()!r}"
-                )
-            try:
-                src.append(int(fields[0]))
-                dst.append(int(fields[1]))
-            except ValueError as exc:
-                raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
-    if header.get("m", len(src)) != len(src):
-        raise DistributionFormatError(
-            f"{path}: header says m={header['m']}, read {len(src)} edges"
-        )
+    header = _header_counts(path)
+    edges = read_int_rows(path, 2, "source target")
+    m = len(edges)
+    if header.get("m", m) != m:
+        raise DistributionFormatError(f"{path}: header says m={header['m']}, read {m} edges")
     n = header.get("n")
     if n is None:
-        n = max(max(src, default=-1), max(dst, default=-1)) + 1
-    return Digraph(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), copy=False)
+        n = int(edges.max()) + 1 if m else 0
+    src, dst = edges.T.copy()
+    return Digraph(n, src, dst, copy=False)
+
+
+def _header_counts(path) -> dict[str, int]:
+    """`n=` and `m=` tokens of the whole-line `#` comments (a later one wins)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    header: dict[str, int] = {}
+    hit = text.find("#")
+    while hit >= 0:
+        start = text.rfind("\n", 0, hit) + 1
+        end = text.find("\n", hit)
+        end = len(text) if end < 0 else end
+        if not text[start:hit].strip():
+            for token in text[hit + 1 : end].split():
+                key, sep, value = token.partition("=")
+                if sep and key in ("n", "m"):
+                    try:
+                        header[key] = int(value)
+                    except ValueError as exc:
+                        lineno = text.count("\n", 0, start) + 1
+                        raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
+        hit = text.find("#", end)
+    return header

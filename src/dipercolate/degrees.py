@@ -17,6 +17,8 @@ repaired.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -48,6 +50,8 @@ __all__ = [
     "write_distribution",
     "read_sequence",
     "write_sequence",
+    "read_int_rows",
+    "write_int_rows",
 ]
 
 MOMENT_ORDERS = tuple((i, l) for i in range(3) for l in range(3))
@@ -588,25 +592,61 @@ def write_distribution(dist: DegreeDistribution, path) -> None:
 
 def read_sequence(path) -> DegreeSequence:
     """Read a degree sequence: one `d_in d_out` pair per line, ``#`` comments."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise DistributionFormatError(
-                    f"{path}:{lineno}: expected 'd_in d_out', got {raw.strip()!r}"
-                )
-            try:
-                pairs.append((int(fields[0]), int(fields[1])))
-            except ValueError as exc:
-                raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
-    return DegreeSequence(pairs)
+    rows = read_int_rows(path, 2, "d_in d_out")
+    return DegreeSequence.from_arrays(rows[:, 0], rows[:, 1])
 
 
 def write_sequence(seq: DegreeSequence, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for d_in, d_out in zip(seq.in_degrees.tolist(), seq.out_degrees.tolist()):
-            fh.write(f"{d_in} {d_out}\n")
+        write_int_rows(fh, seq.in_degrees, seq.out_degrees)
+
+
+# ----- integer tables (sequences, edge lists, SCC labels, deleted ids) ------
+
+ROWS_PER_CHUNK = 1 << 16  # rows formatted per write: bounds the Python ints alive at once
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+
+
+def read_int_rows(path, columns: int, expected: str) -> np.ndarray:
+    """Read a whitespace-separated table of 64-bit integers as an int64 (rows, columns) array.
+
+    ``#`` starts a comment and blank lines are skipped.  A line with another
+    number of fields, or a field that is not a 64-bit integer, raises
+    :class:`DistributionFormatError` naming ``path:lineno``; ``expected``
+    names the columns in the message.
+    """
+    with warnings.catch_warnings():
+        # a file without data rows is an empty table; older numpy parses "1.5"
+        # into an integer column with only a DeprecationWarning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8")
+        except (ValueError, DeprecationWarning) as exc:
+            error = exc
+        else:
+            if not rows.size or rows.shape[1] == columns:
+                return rows.reshape(-1, columns)
+            error = None
+    # numpy counts data rows, not file lines: find the offending line again
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split("#", 1)[0].split()
+            if fields and len(fields) != columns:
+                raise DistributionFormatError(
+                    f"{path}:{lineno}: expected {expected!r}, got {raw.strip()!r}"
+                )
+            for field in fields:
+                if not (_INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63):
+                    raise DistributionFormatError(
+                        f"{path}:{lineno}: {field!r} is not a 64-bit integer"
+                    )
+    raise DistributionFormatError(f"{path}: {error}") from error
+
+
+def write_int_rows(fh, *columns) -> None:
+    """Write equal-length integer arrays as text columns, one ``%d %d ...`` line per row."""
+    line = " ".join(["%d"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
+        chunk = np.column_stack([c[start : start + ROWS_PER_CHUNK] for c in columns])
+        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))

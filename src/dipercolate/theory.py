@@ -97,20 +97,21 @@ def bond_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution
     p_bond[j,k] = sum_{d- >= j} sum_{d+ >= k} p[d-, d+] C(d-, j) C(d+, k)
                   pi^(j+k) (1-pi)^(d- - j + d+ - k)
 
-    evaluated exactly over the stored support.  The output satisfies
-    mu -> pi * mu and mu_11 -> pi^2 * mu_11.
+    evaluated as B_in^T P B_out with binomial-pmf matrices B[d, i] = C(d, i)
+    pi^i (1-pi)^(d-i).  The output satisfies mu -> pi * mu and
+    mu_11 -> pi^2 * mu_11.
     """
     from scipy import stats  # imported here: about 20 MB, needed by nothing else
 
     pi = _check_pi(pi)
     if pi == 1.0:
         return dist
-    table = np.zeros((dist.max_in + 1, dist.max_out + 1))
-    degrees = set(dist.js.tolist()) | set(dist.ks.tolist())
-    rows = {d: stats.binom.pmf(np.arange(d + 1), d, pi) for d in degrees}
-    for j, k, p in zip(dist.js.tolist(), dist.ks.tolist(), dist.ps.tolist()):
-        table[: j + 1, : k + 1] += p * np.outer(rows[j], rows[k])
-    return DegreeDistribution.from_table(table)
+    d_in, d_out = np.arange(dist.max_in + 1), np.arange(dist.max_out + 1)
+    table = np.zeros((d_in.size, d_out.size))
+    table[dist.js, dist.ks] = dist.ps
+    b_in = stats.binom.pmf(d_in, d_in[:, None], pi)
+    b_out = stats.binom.pmf(d_out, d_out[:, None], pi)
+    return DegreeDistribution.from_table(b_in.T @ table @ b_out)
 
 
 def site_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution:

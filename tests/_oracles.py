@@ -140,3 +140,15 @@ def random_balanced_table(rng, max_degree=5, points=6):
         for k in range(size)
         if table[j, k] > 0
     }
+
+
+def bond_table_outer_sum(dist, pi):
+    """Bond-thinned table p_bond[j, k]: one binomial outer product per support point."""
+    from scipy import stats
+
+    table = np.zeros((dist.max_in + 1, dist.max_out + 1))
+    for j, k, p in zip(dist.js.tolist(), dist.ks.tolist(), dist.ps.tolist()):
+        rows_in = stats.binom.pmf(np.arange(j + 1), j, pi)
+        rows_out = stats.binom.pmf(np.arange(k + 1), k, pi)
+        table[: j + 1, : k + 1] += p * np.outer(rows_in, rows_out)
+    return table

@@ -242,6 +242,7 @@ def test_percolate_site_deleted_list(tmp_path, capsys):
     )
     assert code == 0
     ids = [int(line) for line in deleted.read_text().split()]
+    assert deleted.read_text() == "".join(f"{v}\n" for v in ids)
     assert ids == sorted(ids)
     assert ids, "expected deletions at pi=0.5"
     survivors = set(range(n)) - set(ids)
@@ -286,6 +287,23 @@ def test_check_invalid_sequence_exits_two(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["valid"] is False
     assert payload["in_sum"] == 2 and payload["out_sum"] == 1
+
+
+def test_scc_oversized_id_exits_two(tmp_path, capsys):
+    # an id beyond int64 is a malformed file (exit 2), not a crash
+    graph = tmp_path / "huge.txt"
+    graph.write_text("# n=2 seed=none\n0 1\n99999999999999999999 1\n")
+    code, _, err = run_cli(capsys, "scc", "--graph", str(graph))
+    assert code == 2
+    assert f"{graph}:3: " in err
+
+
+def test_check_oversized_degree_exits_two(tmp_path, capsys):
+    seq = tmp_path / "huge-seq.txt"
+    seq.write_text("1 1\n99999999999999999999 1\n")
+    code, _, err = run_cli(capsys, "check", "--seq", str(seq))
+    assert code == 2
+    assert f"{seq}:2: " in err
 
 
 # ----- experiment ------------------------------------------------------------------

@@ -130,3 +130,5 @@ def test_write_labels(tmp_path):
     assert len(lines) == 3
     assert all(len(line.split()) == 2 for line in lines)
     assert [int(line.split()[0]) for line in lines] == [0, 1, 2]
+    labels = part.component_id.tolist()
+    assert path.read_text() == "".join(f"{v} {label}\n" for v, label in enumerate(labels))

@@ -1,10 +1,14 @@
+import io
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from dipercolate import degrees
 from dipercolate import (
     DegreeDistribution,
     DegreeSequence,
@@ -306,3 +310,86 @@ def test_edge_list_header_counts_must_be_integers(tmp_path, header):
     with pytest.raises(DistributionFormatError) as info:
         read_edge_list(path)
     assert str(path) in str(info.value)
+
+
+def per_line_edge_list(n, edges, seed):
+    """The edge-list text written one formatted line per edge."""
+    return f"# n={n} m={len(edges)} seed={seed}\n" + "".join(f"{s} {t}\n" for s, t in edges)
+
+
+@st.composite
+def digraphs(draw):
+    # ids up to the int64 limit; vertices above the largest id stay isolated
+    n = draw(st.one_of(st.integers(0, 12), st.integers(0, 2**63 - 1)))
+    ids = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=0 if n == 0 else 30))
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=digraphs(), seed=st.none() | st.integers(0, 2**64))
+def test_edge_list_roundtrip_property(tmp_path_factory, graph, seed):
+    n, edges = graph
+    g = Digraph(n, [s for s, _ in edges], [t for _, t in edges])
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    write_edge_list(g, path, seed=seed)
+    stream = io.StringIO()
+    write_edge_list(g, stream, seed=seed)
+    expected = per_line_edge_list(n, edges, "none" if seed is None else seed)
+    assert path.read_text(encoding="utf-8") == stream.getvalue() == expected
+    back = read_edge_list(path)
+    assert (back.n, back.edges) == (n, edges)
+
+
+def test_edge_list_golden_bytes_across_chunks(tmp_path, monkeypatch):
+    g = Digraph(3, [0, 1, 2, 0, 1], [1, 2, 0, 2, 0])
+    monkeypatch.setattr(degrees, "ROWS_PER_CHUNK", 2)
+    path = tmp_path / "small.txt"
+    write_edge_list(g, path, seed=7, comments=["note"])
+    assert path.read_bytes() == b"# n=3 m=5 seed=7\n# note\n0 1\n1 2\n2 0\n0 2\n1 0\n"
+    monkeypatch.undo()
+    m = degrees.ROWS_PER_CHUNK + 3
+    rng = rng_for(5)
+    src = rng.integers(0, 10**12, size=m)
+    dst = rng.integers(0, 10**12, size=m)
+    big = Digraph(10**12, src, dst)
+    path = tmp_path / "big.txt"
+    write_edge_list(big, path, seed=1)
+    expected = per_line_edge_list(10**12, big.edges, 1)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_edge_list_trailing_comments(tmp_path):
+    path = tmp_path / "annotated.txt"
+    path.write_text("# n=4 m=2 seed=none\n0 1 # first edge, m=9 here is no header\n\n  2 3\t# second\n")
+    g = read_edge_list(path)
+    assert (g.n, g.edges) == (4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("0 1\n\n1 2 3\n", 4),  # blank lines still count
+        ("0 1\n1\n", 3),
+        ("0 1\n# comment\n1 x\n", 4),
+        ("1.5 0\n", 2),
+        ("0 99999999999999999999\n", 2),
+        ("0 1\n1 0 # ok\n2 0 0 # three\n", 4),
+    ],
+)
+def test_edge_list_bad_line_names_path_and_line(tmp_path, body, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text("# n=3 seed=none\n" + body)
+    with pytest.raises(DistributionFormatError) as info:
+        read_edge_list(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
+
+
+@pytest.mark.parametrize("text, n", [("# n=4 m=0 seed=none\n", 4), ("", 0), ("\n# nothing\n", 0)])
+def test_edge_list_without_edges_reads_silently(tmp_path, text, n):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = read_edge_list(path)
+    assert (g.n, g.m) == (n, 0)

@@ -310,7 +310,20 @@ def test_sequence_file_roundtrip(tmp_path):
     seq = DegreeSequence([(1, 2), (2, 1), (0, 0)])
     path = tmp_path / "seq.txt"
     write_sequence(seq, path)
+    assert path.read_text() == "1 2\n2 1\n0 0\n"
     assert read_sequence(path) == seq
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("1 1\n\n# note\n2\n", 4), ("1 1 # ok\n1 x\n", 2), ("99999999999999999999 1\n", 1)],
+)
+def test_sequence_file_bad_line_names_path_and_line(tmp_path, text, lineno):
+    path = tmp_path / "seq.txt"
+    path.write_text(text)
+    with pytest.raises(DistributionFormatError) as info:
+        read_sequence(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
 
 
 def test_truncation_loss_bound():

@@ -97,6 +97,18 @@ def test_bond_moment_scaling():
     assert out.mu11 == pytest.approx(pi * pi * POISSON2.mu11, abs=1e-9)
 
 
+def test_bond_distribution_matches_outer_sum():
+    rng = np.random.Generator(np.random.Philox(7))
+    for _ in range(20):
+        dist = random_balanced_distribution(rng, max_degree=int(rng.integers(1, 12)), points=12)
+        pi = float(rng.uniform(0.05, 0.95))
+        expected = _oracles.bond_table_outer_sum(dist, pi)
+        out = bond_distribution(dist, pi)
+        got = np.zeros_like(expected)
+        got[out.js, out.ks] = out.ps
+        np.testing.assert_allclose(got, expected / expected.sum(), rtol=0, atol=1e-12)
+
+
 def test_site_distribution_values():
     pi = 0.5
     out = site_distribution(POINT, pi)
