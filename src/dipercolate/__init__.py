@@ -13,7 +13,6 @@ from .degrees import (
     DegreeDistribution,
     DegreeSequence,
     PropernessReport,
-    Validity,
     distribution_from_spec,
     empirical_distribution,
     is_graphical,
@@ -21,14 +20,9 @@ from .degrees import (
     read_distribution,
     read_sequence,
     realize_sequence,
-    total_variation,
-    validate,
-    write_distribution,
-    write_sequence,
 )
 from .configmodel import (
     Digraph,
-    matching_probability,
     read_edge_list,
     sample_configuration,
     sample_simple,
@@ -42,7 +36,6 @@ from .percolation import (
 )
 from .components import (
     SccPartition,
-    largest_scc_fraction,
     strongly_connected_components,
 )
 from .theory import (
@@ -54,8 +47,6 @@ from .theory import (
     gscc_fraction,
     site_distribution,
     solve_fixed_point,
-    u_minus,
-    u_plus,
 )
 from .experiments import (
     ExperimentConfig,
@@ -77,22 +68,16 @@ __all__ = [
     "DegreeSequence",
     "DegreeDistribution",
     "PropernessReport",
-    "Validity",
-    "validate",
     "is_graphical",
     "empirical_distribution",
     "properness_report",
     "realize_sequence",
-    "total_variation",
     "distribution_from_spec",
     "read_distribution",
-    "write_distribution",
     "read_sequence",
-    "write_sequence",
     # configuration model
     "Digraph",
     "sample_configuration",
-    "matching_probability",
     "sample_simple",
     "simple_probability",
     "read_edge_list",
@@ -104,13 +89,10 @@ __all__ = [
     # components
     "SccPartition",
     "strongly_connected_components",
-    "largest_scc_fraction",
     # theory
     "TheoryPrediction",
     "CriticalThreshold",
     "FixedPointResult",
-    "u_minus",
-    "u_plus",
     "bond_distribution",
     "site_distribution",
     "critical_threshold",

@@ -30,10 +30,9 @@ from .degrees import (
     properness_report,
     read_sequence,
     realize_sequence,
-    validate,
     write_int_rows,
 )
-from .errors import DipercolateError
+from .errors import DipercolateError, InvalidSequenceError
 from .experiments import config_from_mapping, load_config, make_rng, run_experiment
 from .percolation import bond_percolate, site_percolate
 from .theory import gscc_fraction
@@ -198,24 +197,15 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_check(args) -> int:
     seq = read_sequence(args.seq)
-    verdict = validate(seq)
-    if not verdict.valid:
-        print(
-            json.dumps(
-                {
-                    "valid": False,
-                    "in_sum": verdict.in_sum,
-                    "out_sum": verdict.out_sum,
-                    "n": seq.n,
-                }
-            )
-        )
+    try:
+        report = properness_report(seq)
+    except InvalidSequenceError:
+        print(json.dumps({"valid": False, "in_sum": seq.in_sum, "out_sum": seq.out_sum, "n": seq.n}))
         return 2
-    report = properness_report(seq)
     payload = {
         "valid": True,
-        "in_sum": verdict.in_sum,
-        "out_sum": verdict.out_sum,
+        "in_sum": seq.in_sum,
+        "out_sum": seq.out_sum,
         "n": report.n,
         "m": seq.m,
         "d_max": report.d_max,

@@ -1,4 +1,4 @@
-"""Strongly connected components and the largest-SCC observable.
+"""Strongly connected components.
 
 Two vertices share a component iff directed paths exist in both directions.
 The partition is computed by scipy's compiled SCC routine (Tarjan-style,
@@ -17,12 +17,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .configmodel import Digraph
 from .degrees import write_int_rows
-from .errors import EmptyGraphError
 
 __all__ = [
     "SccPartition",
     "strongly_connected_components",
-    "largest_scc_fraction",
     "write_labels",
 ]
 
@@ -70,13 +68,6 @@ def strongly_connected_components(g: Digraph) -> SccPartition:
     )
     sizes = np.bincount(labels, minlength=ncomp)
     return SccPartition(labels, sizes)
-
-
-def largest_scc_fraction(g: Digraph) -> float:
-    """Size of the largest SCC divided by the vertex count."""
-    if g.n == 0:
-        raise EmptyGraphError("largest-SCC fraction undefined for an empty graph")
-    return strongly_connected_components(g).largest[1] / g.n
 
 
 def write_labels(partition: SccPartition, path) -> None:

@@ -16,7 +16,6 @@ rejection.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .degrees import (
 )
 from .errors import (
     AttemptsExhaustedError,
-    DegreeMismatchError,
     DistributionFormatError,
     NotGraphicalError,
     ZeroMeanDegreeError,
@@ -39,16 +37,11 @@ from .errors import (
 __all__ = [
     "Digraph",
     "sample_configuration",
-    "matching_probability",
     "sample_simple",
     "simple_probability",
     "read_edge_list",
     "write_edge_list",
 ]
-
-# Exact rational arithmetic is reserved for tiny instances; factorials at
-# m > 20 would be pointless to keep exact.
-EXACT_PROBABILITY_MAX_EDGES = 20
 
 
 class Digraph:
@@ -107,12 +100,6 @@ class Digraph:
         outs = np.bincount(self.src, minlength=self.n)
         return DegreeSequence.from_arrays(ins, outs)
 
-    def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        mult: dict[tuple[int, int], int] = {}
-        for e in zip(self.src.tolist(), self.dst.tolist()):
-            mult[e] = mult.get(e, 0) + 1
-        return mult
-
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
 
@@ -149,45 +136,6 @@ def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digra
     in_owner, out_owner = _stub_owners(seq)
     src = rng.permutation(out_owner) if out_owner.size else out_owner
     return Digraph(seq.n, src, in_owner, copy=False, check=False)
-
-
-def matching_probability(g: Digraph, seq: DegreeSequence):
-    """Probability that a uniform configuration on ``seq`` induces exactly ``g``.
-
-    Returns an exact :class:`fractions.Fraction` when m <= 20, a float
-    otherwise.
-
-    Raises
-    ------
-    DegreeMismatchError
-        If ``g`` does not realize ``seq``.
-    """
-    require_valid(seq)
-    if g.n != seq.n:
-        raise DegreeMismatchError(f"graph has {g.n} vertices, sequence {seq.n}")
-    profile = g.degree_sequence()
-    if profile != seq:
-        raise DegreeMismatchError("graph degree profile does not match sequence")
-    m = seq.m
-    mults = [c for c in g.edge_multiplicities().values() if c > 1]
-    if m <= EXACT_PROBABILITY_MAX_EDGES:
-        num = 1
-        for d in seq.in_degrees.tolist():
-            num *= math.factorial(d)
-        for d in seq.out_degrees.tolist():
-            num *= math.factorial(d)
-        den = math.factorial(m)
-        for c in mults:
-            den *= math.factorial(c)
-        return Fraction(num, den)
-    log_p = -math.lgamma(m + 1)
-    for d in seq.in_degrees.tolist():
-        log_p += math.lgamma(d + 1)
-    for d in seq.out_degrees.tolist():
-        log_p += math.lgamma(d + 1)
-    for c in mults:
-        log_p -= math.lgamma(c + 1)
-    return math.exp(log_p)
 
 
 def sample_simple(
@@ -274,8 +222,8 @@ def read_edge_list(path) -> Digraph:
     number of edges read, or an edge line that is not two integers (a
     trailing ``#`` comment is allowed) raises :class:`DistributionFormatError`.
     """
-    header = _header_counts(path)
     edges = read_int_rows(path, 2, "source target")
+    header = _header_counts(path)
     m = len(edges)
     if header.get("m", m) != m:
         raise DistributionFormatError(f"{path}: header says m={header['m']}, read {m} edges")

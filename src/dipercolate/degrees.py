@@ -16,11 +16,13 @@ repaired.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import special
@@ -37,19 +39,14 @@ __all__ = [
     "DegreeSequence",
     "DegreeDistribution",
     "PropernessReport",
-    "Validity",
-    "validate",
     "require_valid",
     "is_graphical",
     "empirical_distribution",
     "properness_report",
     "realize_sequence",
-    "total_variation",
     "distribution_from_spec",
     "read_distribution",
-    "write_distribution",
     "read_sequence",
-    "write_sequence",
     "read_int_rows",
     "write_int_rows",
 ]
@@ -62,6 +59,7 @@ FAMILY_TAIL_MASS = 1e-12
 
 MASS_TOL = 1e-6  # allowed distance of a table's total mass from 1
 MAX_REDRAWS_PER_VERTEX = 100  # realize_sequence's repair budget
+MAX_KEY_WIDTH = math.isqrt(2**63 - 1)  # d_max + 1 at which a (j, k) key still fits int64
 
 
 class DegreeSequence:
@@ -149,19 +147,6 @@ class DegreeSequence:
         return f"DegreeSequence(n={self.n}, m={self.m}, d_max={self.d_max})"
 
 
-class Validity(NamedTuple):
-    """Verdict of :func:`validate`: equal in/out sums make a sequence valid."""
-
-    valid: bool
-    in_sum: int
-    out_sum: int
-
-
-def validate(seq: DegreeSequence) -> Validity:
-    """Check directed balance: sum of in-degrees == sum of out-degrees."""
-    return Validity(seq.in_sum == seq.out_sum, seq.in_sum, seq.out_sum)
-
-
 def require_valid(seq: DegreeSequence) -> None:
     """Raise :class:`InvalidSequenceError` unless the in- and out-degree sums agree."""
     if seq.in_sum != seq.out_sum:
@@ -223,8 +208,9 @@ class DegreeDistribution:
 
     Attributes
     ----------
-    support : dict[(int, int), float]
-        Probability per stored (in, out) pair.
+    js, ks, ps : ndarray, read-only
+        In-degree, out-degree and probability of each stored pair, sorted by
+        (in, out).
     moments : dict[(int, int), float]
         Cached mu_il for i, l in {0, 1, 2}, computed over the stored support.
     truncation_loss : float
@@ -263,7 +249,6 @@ class DegreeDistribution:
         self.ks = ks
         self.ps = ps
         self.truncation_loss = float(truncation_loss)
-        self.support = {(int(j), int(k)): float(p) for j, k, p in zip(js, ks, ps)}
         jf = js.astype(np.float64)
         kf = ks.astype(np.float64)
         self.moments = {
@@ -377,10 +362,8 @@ class DegreeDistribution:
         return cls(probs, truncation_loss=truncation_loss)
 
 
-def empirical_distribution(
-    seq: DegreeSequence,
-) -> tuple[DegreeDistribution, dict[tuple[int, int], int]]:
-    """Empirical degree distribution p[j,k] = N[j,k] / n, plus the raw counts.
+def empirical_distribution(seq: DegreeSequence) -> DegreeDistribution:
+    """Empirical degree distribution p[j,k] = N[j,k] / n.
 
     Raises
     ------
@@ -391,19 +374,23 @@ def empirical_distribution(
     """
     if seq.n == 0:
         raise EmptySequenceError("cannot form a distribution from zero vertices")
-    pairs, counts = _degree_counts(seq)
-    n = seq.n
-    probs = {jk: c / n for jk, c in zip(pairs, counts)}
-    dist = DegreeDistribution(probs)
-    return dist, dict(zip(pairs, (int(c) for c in counts)))
+    js, ks, counts = _degree_counts(seq)
+    probs = (counts / seq.n).tolist()
+    return DegreeDistribution(dict(zip(zip(js.tolist(), ks.tolist()), probs)))
 
 
 def _degree_counts(seq: DegreeSequence):
-    """Distinct (j, k) pairs of ``seq`` with their multiplicities N[j,k]."""
-    stacked = np.stack([seq.in_degrees, seq.out_degrees], axis=1)
-    uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-    pairs = [(int(j), int(k)) for j, k in uniq]
-    return pairs, counts
+    """Distinct (j, k) pairs of ``seq``, sorted by (j, k), and their counts N[j,k].
+
+    Each pair is counted under the int64 key j * (d_max + 1) + k, which sorts
+    as the pairs do.  Sorting the keys needs O(n) memory; a bincount would need
+    a counter for every possible key, 800 MB for hubs of degree 1e4.
+    """
+    width = seq.d_max + 1
+    if width > MAX_KEY_WIDTH:
+        raise ValueError(f"degree {seq.d_max} is too large to tabulate (limit {MAX_KEY_WIDTH - 1})")
+    keys, counts = np.unique(seq.in_degrees * width + seq.out_degrees, return_counts=True)
+    return keys // width, keys % width, counts
 
 
 @dataclass(frozen=True)
@@ -420,7 +407,6 @@ class PropernessReport:
     d_max_bound: float
     rho: float
     empirical_moments: dict[tuple[int, int], float]
-    valid: bool
     graphical: bool
     d_max_ok: bool
     rho_vs_dmax_ratio: float
@@ -445,10 +431,8 @@ def properness_report(seq: DegreeSequence) -> PropernessReport:
     else:
         bound = math.inf
     if n > 0:
-        pairs, counts = _degree_counts(seq)
-        jf = np.array([j for j, _ in pairs], dtype=np.float64)
-        kf = np.array([k for _, k in pairs], dtype=np.float64)
-        cf = counts.astype(np.float64)
+        js, ks, counts = _degree_counts(seq)
+        jf, kf, cf = js.astype(np.float64), ks.astype(np.float64), counts.astype(np.float64)
         moments = {
             (i, l): float(np.sum(jf**i * kf**l * cf) / n) for i, l in MOMENT_ORDERS
         }
@@ -468,7 +452,6 @@ def properness_report(seq: DegreeSequence) -> PropernessReport:
         d_max_bound=bound,
         rho=rho,
         empirical_moments=moments,
-        valid=True,
         graphical=is_graphical(seq),
         d_max_ok=d_max <= bound,
         rho_vs_dmax_ratio=rho / d_max if d_max > 0 else 0.0,
@@ -518,12 +501,6 @@ def realize_sequence(
         outs[v] = dist.ks[i]
         redraws += 1
     return DegreeSequence.from_arrays(ins, outs)
-
-
-def total_variation(a: DegreeDistribution, b: DegreeDistribution) -> float:
-    """Total-variation distance (1/2) sum |a[j,k] - b[j,k]| over the union support."""
-    keys = set(a.support) | set(b.support)
-    return 0.5 * sum(abs(a.support.get(jk, 0.0) - b.support.get(jk, 0.0)) for jk in keys)
 
 
 # ----- file formats and named-family specs ---------------------------------
@@ -583,28 +560,18 @@ def read_distribution(path) -> DegreeDistribution:
     return DegreeDistribution(probs)
 
 
-def write_distribution(dist: DegreeDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# j k p\n")
-        for (j, k), p in sorted(dist.support.items()):
-            fh.write(f"{j} {k} {p!r}\n")
-
-
 def read_sequence(path) -> DegreeSequence:
     """Read a degree sequence: one `d_in d_out` pair per line, ``#`` comments."""
     rows = read_int_rows(path, 2, "d_in d_out")
     return DegreeSequence.from_arrays(rows[:, 0], rows[:, 1])
 
 
-def write_sequence(seq: DegreeSequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_int_rows(fh, seq.in_degrees, seq.out_degrees)
-
-
 # ----- integer tables (sequences, edge lists, SCC labels, deleted ids) ------
 
 ROWS_PER_CHUNK = 1 << 16  # rows formatted per write: bounds the Python ints alive at once
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
+# suffixes that numpy's loadtxt would open as compressed
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_int_rows(path, columns: int, expected: str) -> np.ndarray:
@@ -613,15 +580,22 @@ def read_int_rows(path, columns: int, expected: str) -> np.ndarray:
     ``#`` starts a comment and blank lines are skipped.  A line with another
     number of fields, or a field that is not a 64-bit integer, raises
     :class:`DistributionFormatError` naming ``path:lineno``; ``expected``
-    names the columns in the message.
+    names the columns in the message.  ``path`` must name an existing plain
+    file: a compression suffix raises :class:`DistributionFormatError`, and
+    anything else, a URL included, :class:`FileNotFoundError`.
     """
+    if os.path.splitext(path)[1] in COMPRESSED_SUFFIXES:
+        raise DistributionFormatError(f"{path}: compressed input is not supported")
+    if not os.path.isfile(path):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     with warnings.catch_warnings():
         # a file without data rows is an empty table; older numpy parses "1.5"
         # into an integer column with only a DeprecationWarning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
-            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8")
+            # numpy never reads an absolute path as a URL
+            rows = np.loadtxt(os.path.abspath(path), dtype=np.int64, ndmin=2, encoding="utf-8")
         except (ValueError, DeprecationWarning) as exc:
             error = exc
         else:

@@ -33,10 +33,6 @@ class RepairFailedError(DipercolateError, RuntimeError):
     """Sum-repair of a sampled degree sequence exceeded its redraw budget."""
 
 
-class DegreeMismatchError(DipercolateError, ValueError):
-    """Graph does not realize the given degree sequence."""
-
-
 class AttemptsExhaustedError(DipercolateError, RuntimeError):
     """Rejection sampling hit the attempt cap without a simple graph."""
 
@@ -58,10 +54,6 @@ class ZeroMeanDegreeError(DipercolateError, ValueError):
 
 class ZeroMu11Error(DipercolateError, ValueError):
     """Distribution has mu_11 = 0; percolation threshold undefined."""
-
-
-class EmptyGraphError(DipercolateError, ValueError):
-    """Operation requires a graph with at least one vertex."""
 
 
 class ConfigError(DipercolateError, ValueError):

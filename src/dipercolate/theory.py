@@ -31,7 +31,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial
 
 from .degrees import DegreeDistribution
 from .errors import PiOutOfRangeError, ZeroMeanDegreeError, ZeroMu11Error
@@ -41,8 +40,6 @@ __all__ = [
     "TheoryPrediction",
     "CriticalThreshold",
     "FixedPointResult",
-    "u_minus",
-    "u_plus",
     "bond_distribution",
     "site_distribution",
     "critical_threshold",
@@ -53,13 +50,6 @@ __all__ = [
 # Safety cap on Newton/bisection steps per fixed point; a solve needs a few dozen.
 MAX_SOLVER_ITERS = 200
 EPS = np.finfo(np.float64).eps
-
-
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
 
 
 def _require_mu(dist: DegreeDistribution) -> float:
@@ -77,18 +67,6 @@ def _boundary_coefficients(dist: DegreeDistribution) -> tuple[np.ndarray, np.nda
     a = np.bincount(dist.js, weights=dist.ks * dist.ps)
     b = np.bincount(dist.ks, weights=dist.js * dist.ps)
     return a / a.sum(), b / b.sum()
-
-
-def u_minus(dist: DegreeDistribution, x: float) -> float:
-    """U_minus(x) = mu^-1 sum k p[j,k] x^j (termwise d/dy of U at y = 1)."""
-    x = _check_unit_interval("x", x)
-    return float(polynomial.polyval(x, _boundary_coefficients(dist)[0]))
-
-
-def u_plus(dist: DegreeDistribution, y: float) -> float:
-    """U_plus(y) = mu^-1 sum j p[j,k] y^k (termwise d/dx of U at x = 1)."""
-    y = _check_unit_interval("y", y)
-    return float(polynomial.polyval(y, _boundary_coefficients(dist)[1]))
 
 
 def bond_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution:
@@ -125,18 +103,18 @@ def site_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution
     bond = bond_distribution(dist, pi)
     if pi == 1.0:
         return bond
-    probs = {jk: pi * p for jk, p in bond.support.items() if jk != (0, 0)}
-    probs[(0, 0)] = pi * bond.support.get((0, 0), 0.0) + (1.0 - pi)
-    return DegreeDistribution(probs)
+    table = np.zeros((bond.max_in + 1, bond.max_out + 1))
+    table[bond.js, bond.ks] = pi * bond.ps
+    table[0, 0] += 1.0 - pi
+    return DegreeDistribution.from_table(table)
 
 
 class CriticalThreshold(NamedTuple):
     pi_c: float
-    supercritical_possible: bool
 
 
 def critical_threshold(dist: DegreeDistribution) -> CriticalThreshold:
-    """pi_c = mu / mu_11, with a flag for whether any pi < 1 is supercritical.
+    """pi_c = mu / mu_11; some pi < 1 is supercritical exactly when pi_c < 1.
 
     Raises
     ------
@@ -147,7 +125,7 @@ def critical_threshold(dist: DegreeDistribution) -> CriticalThreshold:
     if mu11 <= 0.0:
         raise ZeroMu11Error("mu_11 is zero; no GSCC at any pi")
     mu = _require_mu(dist)
-    return CriticalThreshold(mu / mu11, mu11 > mu)
+    return CriticalThreshold(mu / mu11)
 
 
 def _one_minus_pow(t: float, d: np.ndarray) -> np.ndarray:

@@ -3,18 +3,24 @@
 These deliberately avoid the library's own code paths: components come from
 a boolean-matrix reachability closure or from forward and backward BFS,
 configuration-model probabilities from explicit enumeration of all m! stub
-matchings, graphicality from exhaustive search over all simple digraphs on
-labeled vertices, and generating functions from direct summation.
+matchings or from the exact rational closed form, graphicality from
+exhaustive search over all simple digraphs on labeled vertices, and
+generating functions from direct summation.  The remaining helpers view a
+degree distribution as a ``{(j, k): p}`` dict, compare two of them, or write
+a distribution or a sequence out.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
+
+from dipercolate.degrees import write_int_rows
 
 
 def configuration_outcome_counts(in_degrees, out_degrees):
@@ -152,3 +158,57 @@ def bond_table_outer_sum(dist, pi):
         rows_out = stats.binom.pmf(np.arange(k + 1), k, pi)
         table[: j + 1, : k + 1] += p * np.outer(rows_in, rows_out)
     return table
+
+
+def edge_multiplicities(g):
+    """Number of parallel copies of each edge ``(source, target)`` of ``g``."""
+    mult: dict[tuple[int, int], int] = {}
+    for e in zip(g.src.tolist(), g.dst.tolist()):
+        mult[e] = mult.get(e, 0) + 1
+    return mult
+
+
+def matching_probability(g, seq):
+    """Exact probability that a uniform configuration on ``seq`` induces ``g``:
+
+        P(G) = prod_v d_in(v)! prod_v d_out(v)! / (m! prod_{i,j} mult(i,j)!)
+
+    ``g`` must realize ``seq``.
+    """
+    m = seq.m
+    mults = [c for c in edge_multiplicities(g).values() if c > 1]
+    num = 1
+    for d in seq.in_degrees.tolist():
+        num *= math.factorial(d)
+    for d in seq.out_degrees.tolist():
+        num *= math.factorial(d)
+    den = math.factorial(m)
+    for c in mults:
+        den *= math.factorial(c)
+    return Fraction(num, den)
+
+
+def support(dist):
+    """The table of ``dist`` as a ``{(j, k): p}`` dict."""
+    return {(int(j), int(k)): float(p) for j, k, p in zip(dist.js, dist.ks, dist.ps)}
+
+
+def total_variation(a, b):
+    """Total-variation distance (1/2) sum |a[j,k] - b[j,k]| over the union support."""
+    a, b = support(a), support(b)
+    keys = set(a) | set(b)
+    return 0.5 * sum(abs(a.get(jk, 0.0) - b.get(jk, 0.0)) for jk in keys)
+
+
+def write_sequence(seq, path):
+    """Write ``seq`` in the `d_in d_out` format that ``read_sequence`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_int_rows(fh, seq.in_degrees, seq.out_degrees)
+
+
+def write_distribution(dist, path):
+    """Write ``dist`` in the `j k p` format that ``read_distribution`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# j k p\n")
+        for (j, k), p in sorted(support(dist).items()):
+            fh.write(f"{j} {k} {p!r}\n")

@@ -1,3 +1,4 @@
+import gzip
 import importlib.metadata
 import json
 import os
@@ -304,6 +305,50 @@ def test_check_oversized_degree_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--seq", str(seq))
     assert code == 2
     assert f"{seq}:2: " in err
+
+
+# Paths that numpy's loadtxt would decompress, fetch or complete with a suffix:
+# each exits 2 and leaves the working directory as it was.
+
+
+def tree(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+def test_check_compressed_suffix_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain.gz").write_text("1 1\n1 1\n")
+    before = tree(tmp_path)
+    code, out, err = run_cli(capsys, "check", "--seq", "plain.gz")
+    assert code == 2 and out == ""
+    assert "plain.gz: compressed input is not supported" in err
+    code, out, err = run_cli(capsys, "scc", "--graph", "plain.gz")
+    assert code == 2 and out == ""
+    assert "plain.gz: compressed input is not supported" in err
+    assert tree(tmp_path) == before
+
+
+def test_check_missing_file_ignores_compressed_sibling(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with gzip.open(tmp_path / "only.txt.gz", "wt") as fh:
+        fh.write("1 1\n1 1\n")
+    before = tree(tmp_path)
+    code, out, err = run_cli(capsys, "check", "--seq", "only.txt")
+    assert code == 2 and out == ""
+    assert "No such file or directory: 'only.txt'" in err
+    assert tree(tmp_path) == before
+
+
+def test_check_url_path_exits_two(tmp_path, monkeypatch, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1 1\n1 1\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run_cli(capsys, "check", "--seq", f"file://localhost{seq}")
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err
+    assert tree(work) == []
 
 
 # ----- experiment ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,8 @@ from dipercolate import (
     read_distribution,
     read_sequence,
     realize_sequence,
-    total_variation,
-    validate,
-    write_distribution,
-    write_sequence,
 )
+from dipercolate.degrees import MAX_KEY_WIDTH, require_valid
 from dipercolate.errors import (
     DistributionFormatError,
     EmptySequenceError,
@@ -31,7 +30,20 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-# ----- validate --------------------------------------------------------------
+def balanced(seq):
+    try:
+        require_valid(seq)
+    except InvalidSequenceError:
+        return False
+    return True
+
+
+def counts_of(dist, n):
+    """Vertex count per (j, k) of an empirical distribution over n vertices."""
+    return {jk: round(p * n) for jk, p in _oracles.support(dist).items()}
+
+
+# ----- validity (require_valid) ------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -43,8 +55,8 @@ def rng_for(seed):
     ],
 )
 def test_validate_examples(pairs, expected):
-    verdict = validate(DegreeSequence(pairs))
-    assert (verdict.valid, verdict.in_sum, verdict.out_sum) == expected
+    seq = DegreeSequence(pairs)
+    assert (balanced(seq), seq.in_sum, seq.out_sum) == expected
 
 
 @given(
@@ -54,7 +66,7 @@ def test_validate_examples(pairs, expected):
 def test_validate_permutation_invariant(pairs, rand):
     shuffled = list(pairs)
     rand.shuffle(shuffled)
-    assert validate(DegreeSequence(pairs)).valid == validate(DegreeSequence(shuffled)).valid
+    assert balanced(DegreeSequence(pairs)) == balanced(DegreeSequence(shuffled))
 
 
 def test_sequence_fields():
@@ -99,7 +111,7 @@ def test_graphical_matches_bruteforce_small():
 @settings(max_examples=60)
 def test_graphical_permutation_invariant(pairs, rand):
     seq = DegreeSequence(pairs)
-    if not validate(seq).valid:
+    if not balanced(seq):
         return
     shuffled = list(pairs)
     rand.shuffle(shuffled)
@@ -110,14 +122,15 @@ def test_graphical_permutation_invariant(pairs, rand):
 
 
 def test_empirical_examples():
-    dist, counts = empirical_distribution(DegreeSequence([(1, 1), (1, 1)]))
-    assert dist.support == {(1, 1): 1.0}
-    assert counts == {(1, 1): 2}
+    dist = empirical_distribution(DegreeSequence([(1, 1), (1, 1)]))
+    assert _oracles.support(dist) == {(1, 1): 1.0}
+    assert counts_of(dist, 2) == {(1, 1): 2}
 
-    dist, counts = empirical_distribution(DegreeSequence([(1, 0), (0, 1)]))
-    assert dist.support[(1, 0)] == pytest.approx(0.5)
-    assert dist.support[(0, 1)] == pytest.approx(0.5)
-    assert sum(counts.values()) == 2
+    dist = empirical_distribution(DegreeSequence([(1, 0), (0, 1)]))
+    table = _oracles.support(dist)
+    assert table[(1, 0)] == pytest.approx(0.5)
+    assert table[(0, 1)] == pytest.approx(0.5)
+    assert sum(counts_of(dist, 2).values()) == 2
 
     with pytest.raises(EmptySequenceError):
         empirical_distribution(DegreeSequence([]))
@@ -126,14 +139,26 @@ def test_empirical_examples():
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=30))
 def test_empirical_counts_and_moments(pairs):
     seq = DegreeSequence(pairs)
-    if not validate(seq).valid:
+    if not balanced(seq):
         return
-    dist, counts = empirical_distribution(seq)
+    dist = empirical_distribution(seq)
+    counts = Counter(pairs)
+    assert counts_of(dist, seq.n) == counts
+    assert list(_oracles.support(dist)) == sorted(counts)
     assert sum(counts.values()) == seq.n
     # moment cache equals the direct sums over counts
     for (i, l), cached in dist.moments.items():
         direct = sum(j**i * k**l * c for (j, k), c in counts.items()) / seq.n
         assert cached == pytest.approx(direct, abs=1e-12)
+
+
+def test_empirical_degree_key_limit():
+    # the largest degree whose (j, k) key fits int64 counts exactly; one more is refused
+    top = MAX_KEY_WIDTH - 1
+    dist = empirical_distribution(DegreeSequence([(top, top), (0, 0)]))
+    assert _oracles.support(dist) == {(0, 0): 0.5, (top, top): 0.5}
+    with pytest.raises(ValueError, match="too large to tabulate"):
+        empirical_distribution(DegreeSequence([(top + 1, top + 1)]))
 
 
 # ----- properness report -------------------------------------------------------
@@ -146,7 +171,7 @@ def test_properness_all_ones_4096():
     assert report.d_max_bound == pytest.approx(0.24044917348149392, abs=1e-12)
     assert not report.d_max_ok
     assert report.rho == pytest.approx(1.0)
-    assert report.valid and report.graphical
+    assert report.graphical
 
 
 def test_properness_moments_n2():
@@ -183,7 +208,7 @@ def test_distribution_rejects_bad_mass():
 def test_poisson_family_moments():
     lam = 2.0
     dist = DegreeDistribution.poisson(lam)
-    assert sum(dist.support.values()) == pytest.approx(1.0, abs=1e-12)
+    assert dist.ps.sum() == pytest.approx(1.0, abs=1e-12)
     assert dist.truncation_loss < 2e-12
     assert dist.mu == pytest.approx(lam, abs=1e-9)
     assert dist.mu11 == pytest.approx(lam * lam, abs=1e-9)
@@ -201,12 +226,12 @@ def test_geometric_family_moments():
 
 def test_constant_family():
     dist = DegreeDistribution.constant(3)
-    assert dist.support == {(3, 3): 1.0}
+    assert _oracles.support(dist) == {(3, 3): 1.0}
     assert dist.mu == 3.0 and dist.mu11 == 9.0
 
 
 def test_distribution_from_spec():
-    assert distribution_from_spec("const:2").support == {(2, 2): 1.0}
+    assert _oracles.support(distribution_from_spec("const:2")) == {(2, 2): 1.0}
     assert distribution_from_spec("poisson:1.5").mu == pytest.approx(1.5, abs=1e-9)
     with pytest.raises(DistributionFormatError):
         distribution_from_spec("zipf:2")
@@ -236,14 +261,14 @@ def test_realize_always_valid():
     dist = DegreeDistribution.poisson(1.3)
     for seed in range(5):
         seq = realize_sequence(dist, 64, rng_for(seed))
-        assert validate(seq).valid
+        assert balanced(seq)
 
 
 def test_realize_tv_distance_poisson():
     dist = DegreeDistribution.poisson(2.0)
     seq = realize_sequence(dist, 10**5, rng_for(2024))
-    emp, _ = empirical_distribution(seq)
-    assert total_variation(emp, dist) < 0.01
+    emp = empirical_distribution(seq)
+    assert _oracles.total_variation(emp, dist) < 0.01
 
 
 def test_realize_repair_failure():
@@ -281,9 +306,9 @@ def test_realize_rejects_bad_n():
 def test_distribution_file_roundtrip(tmp_path):
     dist = DegreeDistribution({(0, 0): 0.25, (1, 2): 0.25, (2, 1): 0.25, (1, 1): 0.25})
     path = tmp_path / "dist.txt"
-    write_distribution(dist, path)
+    _oracles.write_distribution(dist, path)
     back = read_distribution(path)
-    assert back.support == dist.support
+    assert _oracles.support(back) == _oracles.support(dist)
 
 
 def test_distribution_file_errors(tmp_path):
@@ -303,13 +328,13 @@ def test_distribution_file_comments_and_tolerance(tmp_path):
     path = tmp_path / "dist.txt"
     path.write_text("# comment line\n1 1 0.5000001\n0 0 0.5\n")
     dist = read_distribution(path)
-    assert sum(dist.support.values()) == pytest.approx(1.0, abs=1e-12)
+    assert dist.ps.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequence_file_roundtrip(tmp_path):
     seq = DegreeSequence([(1, 2), (2, 1), (0, 0)])
     path = tmp_path / "seq.txt"
-    write_sequence(seq, path)
+    _oracles.write_sequence(seq, path)
     assert path.read_text() == "1 2\n2 1\n0 0\n"
     assert read_sequence(path) == seq
 

@@ -8,8 +8,8 @@ from dipercolate import (
     bond_percolate,
     sample_simple,
     site_percolate,
-    validate,
 )
+from dipercolate.degrees import require_valid
 from dipercolate.errors import PiOutOfRangeError
 
 
@@ -83,7 +83,7 @@ def test_induced_sequence_always_valid():
     for seed in range(10):
         for mode in (bond_percolate, site_percolate):
             out = mode(g, 0.6, rng_for(seed))
-            assert validate(out.graph.degree_sequence()).valid
+            require_valid(out.graph.degree_sequence())  # raises unless balanced
 
 
 def test_percolation_deterministic_and_seed_sensitive():
