@@ -1,4 +1,4 @@
-"""Directed configuration model: uniform stub matchings and simple-graph rejection.
+"""Directed configuration model: uniform stub matchings and uniform simple digraphs.
 
 Given a valid degree sequence, each vertex v contributes d_in(v) in-stubs and
 d_out(v) out-stubs.  A configuration is a uniformly random perfect bipartite
@@ -9,19 +9,31 @@ probability is
 
 where mult(i,j) is the multiplicity of edge (i, j).  Conditioning on the
 outcome being simple yields the uniform distribution over simple digraphs
-with that degree sequence, which is what :func:`sample_simple` implements by
-rejection.
+with that degree sequence, which is what :func:`sample_simple` produces.
+
+Self-loops are not rejected by redrawing.  Each loop is removed by a
+switching with forward and backward rejection (McKay & Wormald, "Uniform
+generation of random regular graphs of moderate degree", J. Algorithms 11,
+1990), whose backward count is split into two cheap stages (incremental
+relaxation: Arman, Gao & Wormald, "Fast uniform generation of random graphs
+with given degree sequences", FOCS 2019).  Every step maps the uniform law on
+matchings with k loops to the uniform law on those with k - 1, so the
+loop-free result is uniform; only draws with a repeated edge, or with more
+loops than the bounds allow, are redrawn.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from .degrees import (
+    INT64_MAX,
     DegreeDistribution,
     DegreeSequence,
+    exact_sum,
     is_graphical,
     read_int_rows,
     require_valid,
@@ -105,24 +117,132 @@ class Digraph:
 
 
 def _edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
-    if (src == dst).any():
-        return False
+    return not (src == dst).any() and _no_repeated_edges(src, dst, n)
+
+
+def _no_repeated_edges(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
     key = np.sort(src * np.int64(n) + dst)
     return bool((key[1:] != key[:-1]).all())
 
 
-def _stub_owners(seq: DegreeSequence):
-    # cached on the sequence: repeated sampling from one sequence is common
-    cached = getattr(seq, "_stub_owners", None)
-    if cached is None:
+class _Stubs:
+    """Stub owners of a sequence and the constants of its loop switching.
+
+    Slot j pairs in-stub j, owned by ``in_owner[j]`` (canonical vertex order,
+    so vertex w owns slots ``in_start[w]:in_start[w + 1]``), with an out-stub
+    of the vertex a matching puts at ``src[j]``.  ``max_loops`` is the
+    largest loop count L whose switchings keep both backward bounds positive;
+    the bounds are Python ints.
+    """
+
+    def __init__(self, seq: DegreeSequence):
         vertices = np.arange(seq.n, dtype=np.int64)
-        in_owner = np.repeat(vertices, seq.in_degrees)
-        out_owner = np.repeat(vertices, seq.out_degrees)
-        in_owner.setflags(write=False)
-        out_owner.setflags(write=False)
-        cached = (in_owner, out_owner)
-        seq._stub_owners = cached
+        self.in_owner = np.repeat(vertices, seq.in_degrees)
+        self.out_owner = np.repeat(vertices, seq.out_degrees)
+        self.in_owner.setflags(write=False)
+        self.out_owner.setflags(write=False)
+        self.in_start = np.concatenate(([0], np.cumsum(seq.in_degrees)))
+        self.d_in = seq.in_degrees
+        self.d_out = seq.out_degrees
+        self.m = m = seq.m
+        self.m11 = m11 = exact_sum(seq.in_degrees, seq.out_degrees)
+        self.span = span = int((seq.in_degrees + seq.out_degrees).max()) if seq.n else 0
+        self.d_max = seq.d_max
+        # T1 * N3 <= m11 * m must fit the int64 acceptance draw
+        if span and m11 * m <= INT64_MAX:
+            self.max_loops = max(0, min((m11 - 1) // span, m - 3 - 2 * self.d_max) + 1)
+        else:
+            self.max_loops = 0
+
+    def bounds(self, j: int) -> tuple[int, int]:
+        """(T1_min, N3_min) over every matching with j loops."""
+        return self.m11 - j * self.span, self.m - j - 2 - 2 * self.d_max
+
+
+def _stubs(seq: DegreeSequence) -> _Stubs:
+    # cached on the sequence: repeated sampling from one sequence is common
+    cached = getattr(seq, "_stubs", None)
+    if cached is None:
+        cached = seq._stubs = _Stubs(seq)
     return cached
+
+
+class _LoopRemoval:
+    """Loop-removing switchings on one matching ``src`` (McKay & Wormald 1990).
+
+    A switching on loop slot y (v -> v) with non-loop slots q (a1 -> b1) and
+    s (a2 -> b2) sets ``src[q], src[s], src[y] = v, a1, a2``: the pairs become
+    v -> b1, a1 -> b2 and a2 -> v, one loop fewer.  It needs q != s, b1 != v,
+    a2 != v and a1 != b2.  Picking y among the k loops and q, s among all m
+    slots uniformly gives every valid switching probability 1 / (k m^2),
+    which is the forward rejection.
+
+    The inverse switchings into the result are counted in two stages
+    (incremental relaxation, Arman, Gao & Wormald 2019): T1 ways to pick
+    (y, q) with ``src[q] == in_owner[y]``, both non-loops, then N3 ways to
+    pick s for that (y, q).  Accepting with probability
+    ``(T1_min / T1) (N3_min / N3)`` gives every result the same probability,
+    so a uniform matching with k loops becomes a uniform one with k - 1.
+    """
+
+    def __init__(self, stubs: _Stubs, src: np.ndarray, loop_slots: np.ndarray):
+        self.stubs = stubs
+        self.src = src
+        self.loops = loop_slots.tolist()
+        self.loops_at = Counter(stubs.in_owner[loop_slots].tolist())
+        # T1 = sum_w nlo(w) nli(w), with nlo/nli the out/in stubs of w not in loops
+        self.t1 = stubs.m11 - sum(
+            c * int(stubs.d_in[w] + stubs.d_out[w]) - c * c for w, c in self.loops_at.items()
+        )
+
+    def _nlo(self, w: int) -> int:
+        return int(self.stubs.d_out[w]) - self.loops_at.get(w, 0)
+
+    def _nli(self, w: int) -> int:
+        return int(self.stubs.d_in[w]) - self.loops_at.get(w, 0)
+
+    def switch(self, i: int, q: int, s: int) -> int | None:
+        """Switch loop ``loops[i]`` with slots q and s; return N3, or None to f-reject.
+
+        On f-rejection nothing changes.
+        """
+        src, in_owner = self.src, self.stubs.in_owner
+        y = self.loops[i]
+        v = int(in_owner[y])
+        a1, b1 = int(src[q]), int(in_owner[q])
+        a2, b2 = int(src[s]), int(in_owner[s])
+        if q == s or a1 == b1 or a2 == b2 or b1 == v or a2 == v or a1 == b2:
+            return None
+        src[q], src[s], src[y] = v, a1, a2
+        self.t1 += self._nlo(v) + self._nli(v) + 1
+        self.loops_at[v] -= 1
+        self.loops[i] = self.loops[-1]
+        self.loops.pop()
+        # N3: non-loop slots s' other than y and q with src[s'] != b1 and
+        # in_owner[s'] != a2 (a pair b1 -> a2 is a loop when b1 == a2)
+        n3 = self.stubs.m - len(self.loops) - self._nlo(b1) - self._nli(a2)
+        if b1 != a2:
+            lo, hi = self.stubs.in_start[a2], self.stubs.in_start[a2 + 1]
+            n3 += int(np.count_nonzero(src[lo:hi] == b1)) - 2
+        return n3
+
+
+def _remove_loops(stubs: _Stubs, src: np.ndarray, is_loop: np.ndarray, rng) -> bool:
+    """Switch every loop out of ``src`` in place; False when the draw is rejected."""
+    slots = np.flatnonzero(is_loop)
+    if slots.size > stubs.max_loops:
+        return False
+    state = _LoopRemoval(stubs, src, slots)
+    while state.loops:
+        i = int(rng.integers(len(state.loops)))
+        q, s = rng.integers(stubs.m, size=2).tolist()
+        n3 = state.switch(i, q, s)
+        if n3 is None:
+            return False
+        t1_min, n3_min = stubs.bounds(len(state.loops))
+        if rng.integers(state.t1 * n3) >= t1_min * n3_min:
+            return False
+    return True
 
 
 def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digraph:
@@ -133,9 +253,10 @@ def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digra
     order, which makes all m! matchings equally likely.
     """
     require_valid(seq)
-    in_owner, out_owner = _stub_owners(seq)
+    stubs = _stubs(seq)
+    out_owner = stubs.out_owner
     src = rng.permutation(out_owner) if out_owner.size else out_owner
-    return Digraph(seq.n, src, in_owner, copy=False, check=False)
+    return Digraph(seq.n, src, stubs.in_owner, copy=False, check=False)
 
 
 def sample_simple(
@@ -143,26 +264,34 @@ def sample_simple(
     rng: np.random.Generator,
     max_attempts: int = 1000,
 ) -> tuple[Digraph, int]:
-    """Sample a uniform simple digraph with degree sequence ``seq`` by rejection.
+    """Sample a uniform simple digraph with degree sequence ``seq``.
 
-    Returns the graph together with the number of configuration draws used.
+    Each attempt draws a uniform configuration.  Its self-loops, if few
+    enough for the switching bounds of the sequence to hold, are removed by
+    exact switchings, which keep the matching uniform among loop-free ones
+    or reject the draw; a draw with a repeated edge is rejected.  Returns the graph together with
+    the number of configuration draws used.
 
     Raises
     ------
     NotGraphicalError
         If no simple digraph realizes ``seq`` (checked before sampling).
     AttemptsExhaustedError
-        If ``max_attempts`` configurations were all non-simple.
+        If ``max_attempts`` configuration draws were all rejected.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
     if not is_graphical(seq):
         raise NotGraphicalError("sequence is not realizable by a simple digraph")
     n = seq.n
-    in_owner, out_owner = _stub_owners(seq)
+    stubs = _stubs(seq)
+    in_owner, out_owner = stubs.in_owner, stubs.out_owner
     for attempt in range(1, max_attempts + 1):
         src = rng.permutation(out_owner) if out_owner.size else out_owner
-        if _edges_are_simple(src, in_owner, n):
+        is_loop = src == in_owner
+        if is_loop.any() and not (stubs.max_loops and _remove_loops(stubs, src, is_loop, rng)):
+            continue
+        if _no_repeated_edges(src, in_owner, n):
             return Digraph(n, src, in_owner, copy=False, simple=True, check=False), attempt
     raise AttemptsExhaustedError(max_attempts)
 

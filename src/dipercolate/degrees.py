@@ -17,7 +17,9 @@ repaired.
 from __future__ import annotations
 
 import errno
+import functools
 import math
+import operator
 import os
 import re
 import warnings
@@ -59,7 +61,19 @@ FAMILY_TAIL_MASS = 1e-12
 
 MASS_TOL = 1e-6  # allowed distance of a table's total mass from 1
 MAX_REDRAWS_PER_VERTEX = 100  # realize_sequence's repair budget
-MAX_KEY_WIDTH = math.isqrt(2**63 - 1)  # d_max + 1 at which a (j, k) key still fits int64
+INT64_MAX = 2**63 - 1
+MAX_KEY_WIDTH = math.isqrt(INT64_MAX)  # d_max + 1 at which a (j, k) key still fits int64
+
+
+def exact_sum(*factors: np.ndarray) -> int:
+    """Sum of the elementwise product of nonnegative int64 arrays, as a Python int.
+
+    numpy's int64 arithmetic wraps past 2^63 - 1, so when ``size * prod(max)``
+    could reach that limit the sum is taken over Python ints instead.
+    """
+    if factors[0].size and factors[0].size * math.prod(int(f.max()) for f in factors) > INT64_MAX:
+        factors = [f.astype(object) for f in factors]
+    return int(functools.reduce(operator.mul, factors).sum())
 
 
 class DegreeSequence:
@@ -90,8 +104,8 @@ class DegreeSequence:
         out_degrees.setflags(write=False)
         self.in_degrees = in_degrees
         self.out_degrees = out_degrees
-        self._in_sum = int(in_degrees.sum())
-        self._out_sum = int(out_degrees.sum())
+        self._in_sum = exact_sum(in_degrees)
+        self._out_sum = exact_sum(out_degrees)
 
     @classmethod
     def from_arrays(cls, in_degrees, out_degrees) -> "DegreeSequence":

@@ -3,8 +3,9 @@
 Each (pi, trial) cell owns an independent Philox stream derived from the
 master seed and the cell's indices, so results do not depend on execution
 order or the degree of parallelism.  A trial realizes a degree sequence,
-samples a uniform simple digraph by rejection, percolates it, and measures
-the largest strongly connected component.  A trial whose rejection budget is
+samples a uniform simple digraph (loop switchings, then rejection of
+repeated edges), percolates it, and measures the largest strongly connected
+component.  A trial whose rejection budget is
 exhausted is retried with a fresh sub-seed up to three rounds, then recorded
 as failed; failed trials are excluded from means but counted in the summary,
 never silently dropped.

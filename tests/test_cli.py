@@ -290,6 +290,16 @@ def test_check_invalid_sequence_exits_two(tmp_path, capsys):
     assert payload["in_sum"] == 2 and payload["out_sum"] == 1
 
 
+def test_check_degree_sums_past_int64_are_exact(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    path.write_text(f"{2**63 - 1} 0\n1 0\n0 1\n")
+    code, out, _ = run_cli(capsys, "check", "--seq", str(path))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert payload["in_sum"] == 2**63 and payload["out_sum"] == 1
+
+
 def test_scc_oversized_id_exits_two(tmp_path, capsys):
     # an id beyond int64 is a malformed file (exit 2), not a crash
     graph = tmp_path / "huge.txt"

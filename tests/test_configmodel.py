@@ -1,6 +1,9 @@
+import copy
 import io
+import itertools
 import math
 import warnings
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from dipercolate import degrees
+from dipercolate import configmodel, degrees
 from dipercolate import (
     DegreeDistribution,
     DegreeSequence,
@@ -221,6 +224,116 @@ def test_sample_simple_deterministic():
     a, na = sample_simple(seq, rng_for(3))
     b, nb = sample_simple(seq, rng_for(3))
     assert edge_signature(a) == edge_signature(b) and na == nb
+
+
+# What the rejection-only sampler that preceded loop switching returned on
+# three (1, 1) vertices for seeds 0-49: the sources of slots 0, 1, 2 (targets
+# are 0, 1, 2) and the draw count.  The sequence has max_loops = 0, so loop
+# switching must leave its stream alone.
+GOLDEN_THREE_CYCLES = (
+    "201:1 120:5 120:2 201:6 201:2 201:1 201:3 120:5 201:1 201:3 120:8 120:6 201:2 "
+    "201:5 120:6 120:7 201:1 201:3 201:13 120:3 120:5 120:3 120:3 201:1 120:1 201:4 "
+    "201:1 201:3 120:7 120:2 201:1 120:1 201:2 120:1 201:12 120:3 120:1 201:2 201:1 "
+    "120:10 120:1 120:3 120:2 201:2 120:5 120:3 120:2 120:7 201:4 120:1"
+)
+
+
+def test_sample_simple_stream_unchanged_without_switching():
+    seq = DegreeSequence([(1, 1)] * 3)
+    assert configmodel._stubs(seq).max_loops == 0
+    got = []
+    for seed in range(50):
+        g, attempts = sample_simple(seq, rng_for(seed))
+        assert g.dst.tolist() == [0, 1, 2]
+        got.append("".join(map(str, g.src.tolist())) + f":{attempts}")
+    assert " ".join(got) == GOLDEN_THREE_CYCLES
+
+
+def test_sample_simple_uniform_with_switching():
+    # six (1, 1) vertices: the 265 derangements of 6 are the simple digraphs
+    seq = DegreeSequence([(1, 1)] * 6)
+    assert configmodel._stubs(seq).max_loops == 2
+    rng = rng_for(8)
+    seen = defaultdict(int)
+    for _ in range(265 * 40):
+        g, _ = sample_simple(seq, rng)
+        seen[tuple(g.src.tolist())] += 1
+    assert len(seen) == 265
+    assert stats.chisquare(list(seen.values())).pvalue > 0.001
+
+
+def _inverse_pairs(src, in_owner):
+    """T1 by definition: ordered non-loop slots (y, q) with src[q] == in_owner[y]."""
+    free = [j for j in range(len(src)) if src[j] != in_owner[j]]
+    return sum(src[q] == in_owner[y] for y in free for q in free if q != y)
+
+
+def _preimage_count(src, in_owner, y, q):
+    """N3 by enumeration: slots s such that a matching with a loop at y switches into ``src`` with (q, s)."""
+    count = 0
+    for s in range(len(src)):
+        if s in (y, q):
+            continue
+        pre = list(src)
+        pre[y], pre[q], pre[s] = in_owner[y], src[s], src[y]
+        v, a1, b1, a2, b2 = in_owner[y], pre[q], in_owner[q], pre[s], in_owner[s]
+        after = list(pre)
+        after[q], after[s], after[y] = v, a1, a2
+        valid = a1 != b1 and a2 != b2 and b1 != v and a2 != v and a1 != b2
+        count += valid and after == list(src)
+    return count
+
+
+@pytest.mark.parametrize(
+    "ins, outs",
+    [
+        ((1,) * 6, (1,) * 6),
+        ((2,) * 4, (2,) * 4),
+        ((2, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1)),
+    ],
+)
+def test_loop_switching_kernel_is_exact(ins, outs):
+    # Push the uniform law on the matchings with l loops, l <= max_loops,
+    # through the sampler's own switching step and acceptance factors, in
+    # exact arithmetic: every loop-free matching must end with equal mass.
+    stubs = configmodel._stubs(DegreeSequence(zip(ins, outs)))
+    in_owner, m = stubs.in_owner.tolist(), stubs.m
+    assert stubs.max_loops >= 1
+    layers = defaultdict(list)
+    for arr in set(itertools.permutations(stubs.out_owner.tolist())):
+        layers[sum(a == b for a, b in zip(arr, in_owner))].append(arr)
+    kernel = {}  # matching -> [(result, probability)], l -> l - 1 loops
+    for k in range(1, stubs.max_loops + 1):
+        t1_min, n3_min = stubs.bounds(k - 1)
+        assert t1_min > 0 and n3_min > 0
+        for arr in layers[k]:
+            src = np.array(arr, dtype=np.int64)
+            start = configmodel._LoopRemoval(stubs, src, np.flatnonzero(src == stubs.in_owner))
+            assert start.t1 == _inverse_pairs(arr, in_owner)
+            moves = kernel[arr] = []
+            for i, q, s in itertools.product(range(k), range(m), range(m)):
+                state = copy.copy(start)
+                state.src, state.loops, state.loops_at = src.copy(), list(start.loops), start.loops_at.copy()
+                y = start.loops[i]
+                n3 = state.switch(i, q, s)
+                if n3 is None:
+                    assert np.array_equal(state.src, src)
+                    continue
+                out = tuple(state.src.tolist())
+                assert sum(a == b for a, b in zip(out, in_owner)) == k - 1
+                assert state.t1 == _inverse_pairs(out, in_owner) >= t1_min
+                assert n3 == _preimage_count(out, in_owner, y, q) >= n3_min
+                moves.append((out, Fraction(t1_min * n3_min, state.t1 * n3 * k * m * m)))
+    for loops in range(1, stubs.max_loops + 1):
+        mass = {arr: Fraction(1) for arr in layers[loops]}
+        for _ in range(loops):
+            pushed = defaultdict(Fraction)
+            for arr, weight in mass.items():
+                for out, p in kernel[arr]:
+                    pushed[out] += weight * p
+            mass = pushed
+        assert sorted(mass) == sorted(layers[0])
+        assert len(set(mass.values())) == 1
 
 
 # ----- simple_probability --------------------------------------------------------

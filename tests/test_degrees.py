@@ -15,7 +15,7 @@ from dipercolate import (
     read_sequence,
     realize_sequence,
 )
-from dipercolate.degrees import MAX_KEY_WIDTH, require_valid
+from dipercolate.degrees import MAX_KEY_WIDTH, exact_sum, require_valid
 from dipercolate.errors import (
     DistributionFormatError,
     EmptySequenceError,
@@ -57,6 +57,15 @@ def counts_of(dist, n):
 def test_validate_examples(pairs, expected):
     seq = DegreeSequence(pairs)
     assert (balanced(seq), seq.in_sum, seq.out_sum) == expected
+
+
+def test_degree_sums_do_not_wrap():
+    seq = DegreeSequence([(2**63 - 1, 0), (1, 0), (0, 1)])
+    assert (seq.in_sum, seq.out_sum) == (2**63, 1)
+    big = np.array([2**62, 2**62, 3], dtype=np.int64)
+    assert exact_sum(big, np.array([4, 1, 5])) == 5 * 2**62 + 15
+    assert exact_sum(np.array([3, 4]), np.array([5, 6])) == 39
+    assert exact_sum(np.array([], dtype=np.int64)) == 0
 
 
 @given(
