@@ -33,7 +33,14 @@ from .degrees import (
     write_int_rows,
 )
 from .errors import DipercolateError, InvalidSequenceError
-from .experiments import config_from_mapping, load_config, make_rng, run_experiment
+from .experiments import (
+    CONFIG_KEYS,
+    config_from_mapping,
+    load_config,
+    make_rng,
+    parse_pi_grid,
+    run_experiment,
+)
 from .percolation import bond_percolate, site_percolate
 from .theory import gscc_fraction
 
@@ -89,25 +96,26 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scc)
 
     p = sub.add_parser("experiment", help="run the Monte Carlo harness")
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--mode", choices=("bond", "site"), default=None)
-    p.add_argument("--pi-grid", default=None, help="comma-separated pi values")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--max-attempts", type=int, default=None)
+    p.add_argument("--config", help="key = value config file")
+    # one flag per experiments.CONFIG_KEYS row, stored under its config field
+    p.add_argument("--dist")
+    p.add_argument("--n", type=int)
+    p.add_argument("--mode", choices=("bond", "site"))
+    p.add_argument("--pi-grid", help="comma-separated pi values")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    p.add_argument("--max-attempts", dest="max_rejection_attempts", type=int)
     p.add_argument(
-        "--fixed-sequence", action="store_const", const=True, default=None,
+        "--fixed-sequence", action="store_const", const=True,
         help="share one realized degree sequence across all trials",
     )
     p.add_argument(
-        "--record-timing", action="store_const", const=True, default=None,
+        "--record-timing", action="store_const", const=True,
         help="store wall-clock elapsed_ms in the CSV (breaks byte-determinism)",
     )
-    p.add_argument("--threads", type=int, default=None, help="parallel trial cap")
-    p.add_argument("--csv", default=None, help="trial records output path")
-    p.add_argument("--json", default=None, help="summary output path")
+    p.add_argument("--threads", type=int, help="parallel trial cap")
+    p.add_argument("--csv", dest="csv_path", help="trial records output path")
+    p.add_argument("--json", dest="summary_path", help="summary output path")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check", help="validity/graphicality/properness report")
@@ -169,23 +177,9 @@ def _cmd_scc(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {
-        "dist": args.dist,
-        "n": args.n,
-        "mode": args.mode,
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "max_rejection_attempts": args.max_attempts,
-        "fixed_sequence": args.fixed_sequence,
-        "record_timing": args.record_timing,
-        "threads": args.threads,
-        "csv_path": args.csv,
-        "summary_path": args.json,
-    }
+    overrides = {field: getattr(args, field) for field, _ in CONFIG_KEYS.values()}
     if args.pi_grid is not None:
-        overrides["pi_grid"] = tuple(
-            float(p) for p in args.pi_grid.replace(",", " ").split()
-        )
+        overrides["pi_grid"] = parse_pi_grid(args.pi_grid)
     if args.config:
         config = load_config(args.config, **overrides)
     else:

@@ -125,10 +125,6 @@ class DegreeSequence:
         return self.in_degrees.size
 
     @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.in_degrees.tolist(), self.out_degrees.tolist()))
-
-    @property
     def in_sum(self) -> int:
         return self._in_sum
 
@@ -234,17 +230,23 @@ class DegreeDistribution:
 
     BALANCE_TOL = 1e-9
 
-    def __init__(
-        self,
-        probs: Mapping[tuple[int, int], float],
-        truncation_loss: float = 0.0,
-    ):
+    def __init__(self, probs: Mapping[tuple[int, int], float]):
         items = sorted((int(j), int(k), float(p)) for (j, k), p in probs.items())
-        if not items:
-            raise DistributionFormatError("empty distribution")
         js = np.array([j for j, _, _ in items], dtype=np.int64)
         ks = np.array([k for _, k, _ in items], dtype=np.int64)
         ps = np.array([p for _, _, p in items], dtype=np.float64)
+        self._init_arrays(js, ks, ps, 0.0)
+
+    @classmethod
+    def _from_arrays(cls, js, ks, ps, truncation_loss: float = 0.0) -> "DegreeDistribution":
+        obj = cls.__new__(cls)
+        obj._init_arrays(js, ks, ps, truncation_loss)
+        return obj
+
+    def _init_arrays(self, js, ks, ps, truncation_loss):
+        """Validate and store a table given as arrays sorted by (in, out)."""
+        if not ps.size:
+            raise DistributionFormatError("empty distribution")
         if js.min() < 0 or ks.min() < 0:
             raise DistributionFormatError("degrees must be nonnegative")
         if ps.min() < 0:
@@ -263,11 +265,7 @@ class DegreeDistribution:
         self.ks = ks
         self.ps = ps
         self.truncation_loss = float(truncation_loss)
-        jf = js.astype(np.float64)
-        kf = ks.astype(np.float64)
-        self.moments = {
-            (i, l): float(np.sum(jf**i * kf**l * ps)) for i, l in MOMENT_ORDERS
-        }
+        self.moments = _moment_sums(js, ks, ps)
         mu10, mu01 = self.moments[(1, 0)], self.moments[(0, 1)]
         if abs(mu10 - mu01) > self.BALANCE_TOL * max(1.0, mu10, mu01):
             raise ImbalanceError(
@@ -372,8 +370,13 @@ class DegreeDistribution:
     def from_table(cls, table: np.ndarray, truncation_loss: float = 0.0) -> "DegreeDistribution":
         """Distribution over the positive entries of a dense 2-D table p[j, k]."""
         js, ks = np.nonzero(table > 0.0)
-        probs = dict(zip(zip(js.tolist(), ks.tolist()), table[js, ks].tolist()))
-        return cls(probs, truncation_loss=truncation_loss)
+        return cls._from_arrays(js, ks, table[js, ks], truncation_loss)
+
+
+def _moment_sums(js, ks, weights, orders=MOMENT_ORDERS) -> dict[tuple[int, int], float]:
+    """sum_{j,k} j^i k^l w[j, k] over a table's arrays, for each (i, l) in ``orders``."""
+    jf, kf = js.astype(np.float64), ks.astype(np.float64)
+    return {(i, l): float(np.sum(jf**i * kf**l * weights)) for i, l in orders}
 
 
 def empirical_distribution(seq: DegreeSequence) -> DegreeDistribution:
@@ -389,8 +392,7 @@ def empirical_distribution(seq: DegreeSequence) -> DegreeDistribution:
     if seq.n == 0:
         raise EmptySequenceError("cannot form a distribution from zero vertices")
     js, ks, counts = _degree_counts(seq)
-    probs = (counts / seq.n).tolist()
-    return DegreeDistribution(dict(zip(zip(js.tolist(), ks.tolist()), probs)))
+    return DegreeDistribution._from_arrays(js, ks, counts / seq.n)
 
 
 def _degree_counts(seq: DegreeSequence):
@@ -444,21 +446,13 @@ def properness_report(seq: DegreeSequence) -> PropernessReport:
         bound = n ** (1.0 / 12.0) / math.log(n)
     else:
         bound = math.inf
-    if n > 0:
-        js, ks, counts = _degree_counts(seq)
-        jf, kf, cf = js.astype(np.float64), ks.astype(np.float64), counts.astype(np.float64)
-        moments = {
-            (i, l): float(np.sum(jf**i * kf**l * cf) / n) for i, l in MOMENT_ORDERS
-        }
-        if seq.m > 0:
-            mu_n = seq.m / n
-            rho = max(
-                float(np.sum(jf**2 * kf * cf)), float(np.sum(jf * kf**2 * cf))
-            ) / (mu_n * n)
-        else:
-            rho = 0.0
+    # a sequence without vertices has all sums 0
+    sums = _moment_sums(*_degree_counts(seq), MOMENT_ORDERS + ((2, 1), (1, 2)))
+    moments = {il: sums[il] / max(n, 1) for il in MOMENT_ORDERS}
+    if seq.m > 0:
+        mu_n = seq.m / n
+        rho = max(sums[(2, 1)], sums[(1, 2)]) / (mu_n * n)
     else:
-        moments = {il: 0.0 for il in MOMENT_ORDERS}
         rho = 0.0
     return PropernessReport(
         n=n,

@@ -18,10 +18,11 @@ of that determinism).
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -56,21 +57,6 @@ __all__ = [
     "trial_seed",
 ]
 
-CSV_COLUMNS = (
-    "pi",
-    "trial",
-    "seed",
-    "n",
-    "m_before",
-    "m_after",
-    "deleted",
-    "scc_size",
-    "scc_fraction",
-    "attempts",
-    "elapsed_ms",
-    "status",
-)
-
 TRIAL_ROUNDS = 3
 
 # Spawn-key component reserved for the shared sequence of --fixed-sequence
@@ -104,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("pi_grid must be nonempty")
         if any(not 0.0 < pi <= 1.0 for pi in self.pi_grid):
             raise ConfigError("pi_grid entries must lie in (0, 1]")
+        if len(set(self.pi_grid)) < len(self.pi_grid):
+            raise ConfigError(f"pi_grid {self.pi_grid} repeats a value; records are keyed by pi")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
         if self.max_rejection_attempts < 1:
@@ -126,6 +114,9 @@ class TrialRecord:
     attempts: int
     elapsed_ms: int
     status: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -165,10 +156,7 @@ def _run_trial(
         seed = trial_seed(config.master_seed, pi_index, trial_index, round_index)
         rng = make_rng(seed)
         try:
-            if fixed_seq is not None:
-                seq = fixed_seq
-            else:
-                seq = realize_sequence(dist, config.n, rng)
+            seq = realize_sequence(dist, config.n, rng) if fixed_seq is None else fixed_seq
             graph, attempts = sample_simple(seq, rng, config.max_rejection_attempts)
         except AttemptsExhaustedError as exc:
             total_attempts += exc.attempts
@@ -218,20 +206,11 @@ def run_experiment(
         fixed_seq = realize_sequence(
             dist, config.n, make_rng(_fixed_sequence_seed(config.master_seed))
         )
-    cells = [
-        (pi_index, trial_index)
-        for pi_index in range(len(config.pi_grid))
-        for trial_index in range(config.trials)
-    ]
-    if config.threads == 1:
-        records = [_run_trial(dist, config, pi, t, fixed_seq) for pi, t in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [
-                pool.submit(_run_trial, dist, config, pi, t, fixed_seq)
-                for pi, t in cells
-            ]
-            records = [f.result() for f in futures]
+    cells = itertools.product(range(len(config.pi_grid)), range(config.trials))
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        records = list(
+            pool.map(lambda cell: _run_trial(dist, config, *cell, fixed_seq), cells)
+        )
     summary = summarize(records, dist, config.mode)
     if config.csv_path:
         write_csv(records, config.csv_path)
@@ -286,11 +265,7 @@ def write_csv(records: Iterable[TrialRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in records:
-            fh.write(
-                f"{r.pi!r},{r.trial},{r.seed},{r.n},{r.m_before},{r.m_after},"
-                f"{r.deleted},{r.scc_size},{r.scc_fraction!r},{r.attempts},"
-                f"{r.elapsed_ms},{r.status}\n"
-            )
+            fh.write(",".join(map(str, astuple(r))) + "\n")
 
 
 def write_summary(summary: list[dict], path) -> None:
@@ -298,62 +273,59 @@ def write_summary(summary: list[dict], path) -> None:
         fh.write(json.dumps(summary, indent=2) + "\n")
 
 
-# ----- config files ----------------------------------------------------------
-
-_KEY_ALIASES = {
-    "seed": "master_seed",
-    "csv": "csv_path",
-    "summary": "summary_path",
-    "json": "summary_path",
-    "max_attempts": "max_rejection_attempts",
-}
+# ----- config files and flags -----------------------------------------------
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_bool(value: str) -> bool:
+def _parse_bool(text: str) -> bool:
+    return _BOOL_VALUES[text.strip().lower()]
+
+
+def parse_pi_grid(text: str) -> tuple[float, ...]:
+    """Parse pi values separated by commas, whitespace or both."""
     try:
-        return _BOOL_VALUES[value.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {value!r}") from None
+        return tuple(float(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"bad pi_grid entry in {text!r}") from None
 
 
-def config_from_mapping(raw: Mapping[str, object], **overrides) -> ExperimentConfig:
-    """Build a config from string-valued file entries plus typed overrides."""
-    fields: dict[str, object] = {}
-    for key, value in raw.items():
-        key = _KEY_ALIASES.get(key, key)
-        if key == "dist":
-            fields[key] = str(value)
-        elif key in ("n", "trials", "master_seed", "max_rejection_attempts", "threads"):
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-        elif key == "mode":
-            fields[key] = str(value)
-        elif key == "pi_grid":
-            if isinstance(value, str):
-                parts = [p for p in value.replace(",", " ").split() if p]
-                try:
-                    fields[key] = tuple(float(p) for p in parts)
-                except ValueError:
-                    raise ConfigError(f"bad pi_grid entry in {value!r}") from None
-            else:
-                fields[key] = tuple(float(p) for p in value)
-        elif key in ("fixed_sequence", "record_timing"):
-            fields[key] = _parse_bool(value) if isinstance(value, str) else bool(value)
-        elif key in ("csv_path", "summary_path"):
-            fields[key] = str(value)
-        else:
+# One row per config-file key (the README lists them, each with its
+# ``experiment`` flag): key -> (ExperimentConfig field, parser of the text).
+CONFIG_KEYS = {
+    "dist": ("dist", str),
+    "n": ("n", int),
+    "mode": ("mode", str),
+    "pi_grid": ("pi_grid", parse_pi_grid),
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "max_attempts": ("max_rejection_attempts", int),
+    "fixed_sequence": ("fixed_sequence", _parse_bool),
+    "record_timing": ("record_timing", _parse_bool),
+    "threads": ("threads", int),
+    "csv": ("csv_path", str),
+    "json": ("summary_path", str),
+}
+
+
+def config_from_mapping(raw: Mapping[str, str], **overrides) -> ExperimentConfig:
+    """Build a config from text values under ``CONFIG_KEYS`` names, then apply
+    the typed ``ExperimentConfig`` field ``overrides`` that are not ``None``."""
+    values: dict[str, object] = {}
+    for key, text in raw.items():
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    for key, value in overrides.items():
-        if value is not None:
-            fields[key] = value
-    missing = {"dist", "n", "pi_grid"} - fields.keys()
+        field, parse = CONFIG_KEYS[key]
+        try:
+            values[field] = parse(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"bad value for {key}: {text!r}") from None
+    values.update((field, v) for field, v in overrides.items() if v is not None)
+    required = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+    missing = [name for name in required if name not in values]
     if missing:
-        raise ConfigError(f"missing config keys: {', '.join(sorted(missing))}")
-    return ExperimentConfig(**fields)
+        raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -364,8 +336,12 @@ def load_config(path, **overrides) -> ExperimentConfig:
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            key, sep, value = stripped.partition("=")
+            key, sep, value = (part.strip() for part in stripped.partition("="))
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            raw[key.strip()] = value.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
+            raw[key] = value
     return config_from_mapping(raw, **overrides)

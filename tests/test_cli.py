@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import dipercolate
-from dipercolate import read_edge_list
+from dipercolate import cli, read_edge_list
 from dipercolate.cli import main
+from dipercolate.experiments import CONFIG_KEYS, config_from_mapping
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -404,3 +405,60 @@ def test_experiment_flag_overrides_config(tmp_path, capsys):
     # stdout is pure JSON (no log lines)
     summary = json.loads(out)
     assert summary[0]["trials_ok"] == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [("--pi-grid", "0.9,x", 2), ("--pi-grid", "0.9,0.9", 2), ("--n", "four", 1)],
+)
+def test_experiment_bad_flag_value_exit_codes(capsys, flag, value, code):
+    argv = {"--dist": "const:2", "--n": "50", "--pi-grid": "0.9", "--trials": "2", flag: value}
+    code_got, out, _ = run_cli(capsys, "experiment", *[x for item in argv.items() for x in item])
+    assert (code_got, out) == (code, "")
+
+
+# Per config key: its file value and the arguments after its flag, both
+# different from BASE_SETTINGS and from the defaults.
+SETTINGS = {
+    "dist": ("const:1", ["const:1"]),
+    "n": ("60", ["60"]),
+    "mode": ("site", ["site"]),
+    "pi_grid": ("0.9 0.4", ["0.9, 0.4"]),
+    "trials": ("3", ["3"]),
+    "seed": ("7", ["7"]),
+    "max_attempts": ("20", ["20"]),
+    "fixed_sequence": ("true", []),
+    "record_timing": ("yes", []),
+    "threads": ("2", ["2"]),
+    "csv": ("t.csv", ["t.csv"]),
+    "json": ("s.json", ["s.json"]),
+}
+BASE_SETTINGS = {"dist": "const:2", "n": "50", "pi_grid": "0.5"}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def test_settings_cover_every_config_key():
+    assert SETTINGS.keys() == CONFIG_KEYS.keys()
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_experiment_flag_and_file_set_alike(tmp_path, monkeypatch, capsys, key):
+    configs = []
+
+    def record_config(config):
+        configs.append(config)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_experiment", record_config)
+    text, args = SETTINGS[key]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**BASE_SETTINGS, key: text}.items()))
+    base_flags = [x for k, v in BASE_SETTINGS.items() if k != key for x in (flag(k), v)]
+    assert run_cli(capsys, "experiment", "--config", str(cfg))[0] == 0
+    assert run_cli(capsys, "experiment", *base_flags, flag(key), *args)[0] == 0
+    by_file, by_flags = configs
+    assert by_file == by_flags
+    assert by_file != config_from_mapping(BASE_SETTINGS)

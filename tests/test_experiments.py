@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,8 @@ def test_config_validation():
         small_config(pi_grid=())
     with pytest.raises(ConfigError):
         small_config(pi_grid=(0.0, 0.5))
+    with pytest.raises(ConfigError, match="repeats a value"):
+        small_config(pi_grid=(0.9, 0.3, 0.9))
     with pytest.raises(ConfigError):
         small_config(n=0)
     with pytest.raises(ConfigError):
@@ -100,8 +103,32 @@ def test_config_file_errors(tmp_path):
     path.write_text("dist = const:1\nn = four\npi_grid = 0.5\n")
     with pytest.raises(ConfigError):
         load_config(path)
-    with pytest.raises(ConfigError):
-        config_from_mapping({"dist": "const:1"})  # n, pi_grid missing
+    path.write_text("dist = const:1\nn = 4\npi_grid = 0.5\nfixed_sequence = maybe\n")
+    with pytest.raises(ConfigError, match="bad value for fixed_sequence"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="missing config keys: n, pi_grid"):
+        config_from_mapping({"dist": "const:1"})
+
+
+def test_config_file_repeated_key_names_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("dist = const:1\nn = 50\n# n = 55\nn = 60\npi_grid = 0.5\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: repeated config key 'n'"):
+        load_config(path)
+
+
+# a made-up name, then the alternative names that earlier versions accepted
+@pytest.mark.parametrize(
+    "key",
+    ["frobnicate", "master_seed", "max_rejection_attempts", "csv_path", "summary_path", "summary"],
+)
+def test_config_unknown_key_names_line(tmp_path, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"dist = const:1\nn = 4\n{key} = 3\npi_grid = 0.5\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: unknown config key '{key}'"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        config_from_mapping({"dist": "const:1", "n": "4", "pi_grid": "0.5", key: "3"})
 
 
 # ----- seeding -----------------------------------------------------------------

@@ -1,9 +1,11 @@
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import dipercolate as dp
+from dipercolate.experiments import CONFIG_KEYS
 
 MODULES = [
     "dipercolate",
@@ -82,3 +84,10 @@ def test_readme_library_example_runs(capsys):
 def test_readme_names_every_export():
     text = README.read_text(encoding="utf-8")
     assert [name for name in dp.__all__ if f"`{name}`" not in text] == []
+
+
+def test_readme_lists_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Experiment config files\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)` \(`(--[\w-]+)`\)", section, re.M)
+    assert listed == [(key, "--" + key.replace("_", "-")) for key in CONFIG_KEYS]
