@@ -24,6 +24,7 @@ loops than the bounds allow, are redrawn.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -35,7 +36,7 @@ from .degrees import (
     DegreeSequence,
     exact_sum,
     is_graphical,
-    read_int_rows,
+    read_rows,
     require_valid,
     write_int_rows,
 )
@@ -59,39 +60,35 @@ __all__ = [
 class Digraph:
     """Immutable digraph: ``n`` vertices, parallel ``src``/``dst`` edge arrays.
 
-    Self-loops and parallel edges are representable; ``simple`` is computed
-    lazily and cached.
+    The constructor copies ``src`` and ``dst`` and checks that every endpoint
+    lies in [0, n).  Self-loops and parallel edges are representable;
+    ``simple`` is computed lazily and cached.
     """
 
-    def __init__(
-        self,
-        n: int,
-        src,
-        dst,
-        copy: bool = True,
-        simple: bool | None = None,
-        check: bool = True,
-    ):
+    def __init__(self, n: int, src, dst):
         if n < 0:
             raise ValueError("n must be nonnegative")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if copy:
-            src, dst = src.copy(), dst.copy()
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src and dst must be 1-d arrays of equal length")
-        # check=False skips the bounds scan for arrays that are in-range by
-        # construction (sampler and percolation internals)
-        if check and src.size and (
-            src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n
-        ):
+        if src.size and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise ValueError("edge endpoints must lie in [0, n)")
+        self._init_arrays(n, src, dst)
+
+    @classmethod
+    def _from_arrays(cls, n: int, src, dst) -> "Digraph":
+        """Wrap int64 arrays in [0, n) that the library built itself (not copied)."""
+        obj = cls.__new__(cls)
+        obj._init_arrays(n, src, dst)
+        return obj
+
+    def _init_arrays(self, n, src, dst):
         src.setflags(write=False)
         dst.setflags(write=False)
         self.n = int(n)
         self.src = src
         self.dst = dst
-        self._simple = simple
 
     @property
     def m(self) -> int:
@@ -101,11 +98,9 @@ class Digraph:
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.src.tolist(), self.dst.tolist()))
 
-    @property
+    @functools.cached_property
     def simple(self) -> bool:
-        if self._simple is None:
-            self._simple = _edges_are_simple(self.src, self.dst, self.n)
-        return self._simple
+        return not (self.src == self.dst).any() and _no_repeated_edges(self.src, self.dst, self.n)
 
     def degree_sequence(self) -> DegreeSequence:
         ins = np.bincount(self.dst, minlength=self.n)
@@ -114,10 +109,6 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
-
-
-def _edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
-    return not (src == dst).any() and _no_repeated_edges(src, dst, n)
 
 
 def _no_repeated_edges(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
@@ -256,7 +247,7 @@ def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digra
     stubs = _stubs(seq)
     out_owner = stubs.out_owner
     src = rng.permutation(out_owner) if out_owner.size else out_owner
-    return Digraph(seq.n, src, stubs.in_owner, copy=False, check=False)
+    return Digraph._from_arrays(seq.n, src, stubs.in_owner)
 
 
 def sample_simple(
@@ -292,7 +283,7 @@ def sample_simple(
         if is_loop.any() and not (stubs.max_loops and _remove_loops(stubs, src, is_loop, rng)):
             continue
         if _no_repeated_edges(src, in_owner, n):
-            return Digraph(n, src, in_owner, copy=False, simple=True, check=False), attempt
+            return Digraph._from_arrays(n, src, in_owner), attempt
     raise AttemptsExhaustedError(max_attempts)
 
 
@@ -343,6 +334,9 @@ def write_edge_list(g: Digraph, path, seed=None, comments: list[str] | None = No
             emit(fh)
 
 
+_EDGE_ROWS = np.dtype([("source", np.int64), ("target", np.int64)])
+
+
 def read_edge_list(path) -> Digraph:
     """Read the edge-list format; vertex count comes from the `n=` header.
 
@@ -351,36 +345,38 @@ def read_edge_list(path) -> Digraph:
     number of edges read, or an edge line that is not two integers (a
     trailing ``#`` comment is allowed) raises :class:`DistributionFormatError`.
     """
-    edges = read_int_rows(path, 2, "source target")
+    edges = read_rows(path, _EDGE_ROWS)
     header = _header_counts(path)
     m = len(edges)
     if header.get("m", m) != m:
         raise DistributionFormatError(f"{path}: header says m={header['m']}, read {m} edges")
+    src, dst = edges["source"], edges["target"]
     n = header.get("n")
     if n is None:
-        n = int(edges.max()) + 1 if m else 0
-    src, dst = edges.T.copy()
-    return Digraph(n, src, dst, copy=False)
+        n = int(max(src.max(), dst.max())) + 1 if m else 0
+    return Digraph(n, src, dst)
 
 
 def _header_counts(path) -> dict[str, int]:
-    """`n=` and `m=` tokens of the whole-line `#` comments (a later one wins)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """`n=` and `m=` tokens of the whole-line `#` comments (a later one wins);
+    the bytes are searched for ``#`` and only the lines that hold one decoded."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     header: dict[str, int] = {}
-    hit = text.find("#")
+    hit = data.find(b"#")
     while hit >= 0:
-        start = text.rfind("\n", 0, hit) + 1
-        end = text.find("\n", hit)
-        end = len(text) if end < 0 else end
-        if not text[start:hit].strip():
-            for token in text[hit + 1 : end].split():
+        start = data.rfind(b"\n", 0, hit) + 1
+        end = data.find(b"\n", hit)
+        end = len(data) if end < 0 else end
+        before, _, comment = data[start:end].decode("utf-8").partition("#")
+        if not before.strip():
+            for token in comment.split():
                 key, sep, value = token.partition("=")
                 if sep and key in ("n", "m"):
                     try:
                         header[key] = int(value)
                     except ValueError as exc:
-                        lineno = text.count("\n", 0, start) + 1
+                        lineno = data.count(b"\n", 0, start) + 1
                         raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
-        hit = text.find("#", end)
+        hit = data.find(b"#", end)
     return header

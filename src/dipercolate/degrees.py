@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import errno
 import functools
+import itertools
 import math
 import operator
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,6 +42,7 @@ __all__ = [
     "DegreeDistribution",
     "PropernessReport",
     "require_valid",
+    "require_balanceable",
     "is_graphical",
     "empirical_distribution",
     "properness_report",
@@ -49,7 +50,7 @@ __all__ = [
     "distribution_from_spec",
     "read_distribution",
     "read_sequence",
-    "read_int_rows",
+    "read_rows",
     "write_int_rows",
 ]
 
@@ -95,11 +96,16 @@ class DegreeSequence:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pairs must be (in, out) 2-tuples")
-        if arr.size and arr.min() < 0:
-            raise ValueError("degrees must be nonnegative")
-        self._init_arrays(arr[:, 0].copy(), arr[:, 1].copy())
+        self._init_arrays(arr[:, 0], arr[:, 1])
 
-    def _init_arrays(self, in_degrees: np.ndarray, out_degrees: np.ndarray):
+    def _init_arrays(self, in_degrees, out_degrees):
+        """Copy, check and store the degree arrays."""
+        in_degrees = np.array(in_degrees, dtype=np.int64)
+        out_degrees = np.array(out_degrees, dtype=np.int64)
+        if in_degrees.shape != out_degrees.shape or in_degrees.ndim != 1:
+            raise ValueError("in/out arrays must be 1-d of equal length")
+        if in_degrees.size and min(in_degrees.min(), out_degrees.min()) < 0:
+            raise ValueError("degrees must be nonnegative")
         in_degrees.setflags(write=False)
         out_degrees.setflags(write=False)
         self.in_degrees = in_degrees
@@ -110,14 +116,8 @@ class DegreeSequence:
     @classmethod
     def from_arrays(cls, in_degrees, out_degrees) -> "DegreeSequence":
         """Build a sequence from separate in/out degree arrays (copied)."""
-        ins = np.asarray(in_degrees, dtype=np.int64).copy()
-        outs = np.asarray(out_degrees, dtype=np.int64).copy()
-        if ins.shape != outs.shape or ins.ndim != 1:
-            raise ValueError("in/out arrays must be 1-d of equal length")
-        if ins.size and min(ins.min(), outs.min()) < 0:
-            raise ValueError("degrees must be nonnegative")
         obj = cls.__new__(cls)
-        obj._init_arrays(ins, outs)
+        obj._init_arrays(in_degrees, out_degrees)
         return obj
 
     @property
@@ -251,7 +251,7 @@ class DegreeDistribution:
             raise DistributionFormatError("degrees must be nonnegative")
         if ps.min() < 0:
             raise DistributionFormatError("probabilities must be nonnegative")
-        total = ps.sum()
+        total = float(ps.sum())
         if not math.isfinite(total) or abs(total - 1.0) > MASS_TOL:
             raise DistributionFormatError(
                 f"probabilities sum to {total!r}, expected 1 +/- {MASS_TOL}"
@@ -302,7 +302,7 @@ class DegreeDistribution:
     def sample_pairs(self, count: int, rng: np.random.Generator):
         """Draw ``count`` iid (in, out) pairs; returns (in_array, out_array)."""
         idx = self._draw_indices(count, rng)
-        return self.js[idx].copy(), self.ks[idx].copy()
+        return self.js[idx], self.ks[idx]
 
     def _draw_indices(self, count, rng):
         if self._cum is None:
@@ -466,6 +466,19 @@ def properness_report(seq: DegreeSequence) -> PropernessReport:
     )
 
 
+def require_balanceable(dist: DegreeDistribution, n: int) -> None:
+    """Raise :class:`RepairFailedError` unless n pairs from ``dist`` can have equal sums:
+    every d = j - k on the support is d[0] modulo g = gcd(d - d[0]), so n pairs are n * d[0] off
+    modulo g."""
+    d = dist.js - dist.ks
+    g = int(np.gcd.reduce(d - d[0]))
+    if g and n * int(d[0]) % g:
+        raise RepairFailedError(
+            f"degree sums can never balance at n={n}: every imbalance is "
+            f"{n * int(d[0]) % g} modulo {g}"
+        )
+
+
 def realize_sequence(
     dist: DegreeDistribution,
     n: int,
@@ -476,8 +489,7 @@ def realize_sequence(
     Pairs are drawn iid; while the in- and out-sums disagree, one uniformly
     chosen vertex has its pair redrawn from ``dist``.  :class:`RepairFailedError`
     is raised after ``MAX_REDRAWS_PER_VERTEX * n`` redraws, or before any draw
-    when the sums can never balance: each d = j - k on the support is d[0]
-    modulo g = gcd(d - d[0]), so every imbalance is n * d[0] modulo g.
+    when the sums can never balance (see :func:`require_balanceable`).
 
     The repair perturbs the iid marginals only slightly: when the table is
     balanced in expectation the sum difference is a mean-zero random walk
@@ -485,13 +497,7 @@ def realize_sequence(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = dist.js - dist.ks
-    g = int(np.gcd.reduce(d - d[0]))
-    if g and n * int(d[0]) % g:
-        raise RepairFailedError(
-            f"degree sums can never balance at n={n}: every imbalance is "
-            f"{n * int(d[0]) % g} modulo {g}"
-        )
+    require_balanceable(dist, n)
     ins, outs = dist.sample_pairs(n, rng)
     diff = int(ins.sum()) - int(outs.sum())
     budget = MAX_REDRAWS_PER_VERTEX * n
@@ -541,56 +547,48 @@ def distribution_from_spec(spec: str) -> DegreeDistribution:
 
 
 def read_distribution(path) -> DegreeDistribution:
-    """Read a `j k p` table (one entry per line, ``#`` comments allowed).
+    """Read a `j k p` table (one entry per line in any order, ``#`` comments allowed).
 
-    The probabilities must sum to 1 within 1e-6 before renormalization.
+    The probabilities must sum to 1 within 1e-6 before renormalization.  Errors
+    name the file, and those of a malformed line ``path:lineno``.
     """
-    probs: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise DistributionFormatError(
-                    f"{path}:{lineno}: expected 'j k p', got {raw.strip()!r}"
-                )
-            try:
-                j, k, p = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError as exc:
-                raise DistributionFormatError(f"{path}:{lineno}: {exc}") from exc
-            if (j, k) in probs:
-                raise DistributionFormatError(
-                    f"{path}:{lineno}: duplicate entry for ({j}, {k})"
-                )
-            probs[(j, k)] = p
-    return DegreeDistribution(probs)
+    rows = read_rows(path, _DISTRIBUTION_ROWS)
+    order = np.lexsort((rows["k"], rows["j"]))
+    js, ks, ps = (rows[name][order] for name in _DISTRIBUTION_ROWS.names)
+    repeated = (js[1:] == js[:-1]) & (ks[1:] == ks[:-1])
+    if repeated.any():
+        i = int(repeated.argmax())
+        raise DistributionFormatError(f"{path}: repeated entry for ({js[i]}, {ks[i]})")
+    try:
+        return DegreeDistribution._from_arrays(js, ks, ps)
+    except (DistributionFormatError, ImbalanceError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_sequence(path) -> DegreeSequence:
     """Read a degree sequence: one `d_in d_out` pair per line, ``#`` comments."""
-    rows = read_int_rows(path, 2, "d_in d_out")
-    return DegreeSequence.from_arrays(rows[:, 0], rows[:, 1])
+    rows = read_rows(path, _SEQUENCE_ROWS)
+    return DegreeSequence.from_arrays(rows["d_in"], rows["d_out"])
 
 
-# ----- integer tables (sequences, edge lists, SCC labels, deleted ids) ------
+# ----- text tables (distributions, sequences, edge lists, SCC labels, deleted ids)
 
 ROWS_PER_CHUNK = 1 << 16  # rows formatted per write: bounds the Python ints alive at once
-_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 # suffixes that numpy's loadtxt would open as compressed
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+_DISTRIBUTION_ROWS = np.dtype([("j", np.int64), ("k", np.int64), ("p", np.float64)])
+_SEQUENCE_ROWS = np.dtype([("d_in", np.int64), ("d_out", np.int64)])
 
 
-def read_int_rows(path, columns: int, expected: str) -> np.ndarray:
-    """Read a whitespace-separated table of 64-bit integers as an int64 (rows, columns) array.
+def read_rows(path, columns: np.dtype) -> np.ndarray:
+    """Read a whitespace-separated text table as a 1-d array of structured dtype ``columns``.
 
     ``#`` starts a comment and blank lines are skipped.  A line with another
-    number of fields, or a field that is not a 64-bit integer, raises
-    :class:`DistributionFormatError` naming ``path:lineno``; ``expected``
-    names the columns in the message.  ``path`` must name an existing plain
-    file: a compression suffix raises :class:`DistributionFormatError`, and
-    anything else, a URL included, :class:`FileNotFoundError`.
+    number of fields, or a field its column's type does not parse, raises
+    :class:`DistributionFormatError` naming ``path:lineno``.  ``path`` must
+    name an existing plain file: a compression suffix raises
+    :class:`DistributionFormatError`, and anything else, a URL included,
+    :class:`FileNotFoundError`.
     """
     if os.path.splitext(path)[1] in COMPRESSED_SUFFIXES:
         raise DistributionFormatError(f"{path}: compressed input is not supported")
@@ -603,26 +601,18 @@ def read_int_rows(path, columns: int, expected: str) -> np.ndarray:
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
             # numpy never reads an absolute path as a URL
-            rows = np.loadtxt(os.path.abspath(path), dtype=np.int64, ndmin=2, encoding="utf-8")
+            return np.loadtxt(os.path.abspath(path), dtype=columns, ndmin=1, encoding="utf-8")
         except (ValueError, DeprecationWarning) as exc:
             error = exc
-        else:
-            if not rows.size or rows.shape[1] == columns:
-                return rows.reshape(-1, columns)
-            error = None
-    # numpy counts data rows, not file lines: find the offending line again
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split("#", 1)[0].split()
-            if fields and len(fields) != columns:
-                raise DistributionFormatError(
-                    f"{path}:{lineno}: expected {expected!r}, got {raw.strip()!r}"
-                )
-            for field in fields:
-                if not (_INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63):
-                    raise DistributionFormatError(
-                        f"{path}:{lineno}: {field!r} is not a 64-bit integer"
-                    )
+        # numpy counts data rows, not file lines: parse again from an iterator,
+        # which numpy takes one line at a time, and count the lines it took
+        with open(path, "r", encoding="utf-8") as fh:
+            taken = itertools.count(1)
+            try:
+                np.loadtxt((raw for raw, _ in zip(fh, taken)), dtype=columns, ndmin=1)
+            except (ValueError, DeprecationWarning) as exc:
+                message = str(exc).split(" at row ", 1)[0]
+                raise DistributionFormatError(f"{path}:{next(taken) - 1}: {message}") from exc
     raise DistributionFormatError(f"{path}: {error}") from error
 
 

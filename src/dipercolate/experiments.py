@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, fields
@@ -33,7 +34,9 @@ from .degrees import (
     DegreeDistribution,
     DegreeSequence,
     distribution_from_spec,
+    is_graphical,
     realize_sequence,
+    require_balanceable,
 )
 from .errors import (
     AttemptsExhaustedError,
@@ -197,15 +200,20 @@ def run_experiment(
 
     Records come back sorted by (pi index, trial index) regardless of
     ``config.threads``.  CSV and JSON files are written when the config
-    carries paths for them.
+    carries paths for them.  Before any trial, :class:`RepairFailedError` is
+    raised if the degree sums can never balance at n, and
+    :class:`NotGraphicalError` if a fixed sequence is not graphical.
     """
     if dist is None:
         dist = distribution_from_spec(config.dist)
+    require_balanceable(dist, config.n)
     fixed_seq = None
     if config.fixed_sequence:
         fixed_seq = realize_sequence(
             dist, config.n, make_rng(_fixed_sequence_seed(config.master_seed))
         )
+        if not is_graphical(fixed_seq):
+            raise NotGraphicalError(f"the shared degree sequence is not graphical: {fixed_seq!r}")
     cells = itertools.product(range(len(config.pi_grid)), range(config.trials))
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         records = list(
@@ -275,6 +283,7 @@ def write_summary(summary: list[dict], path) -> None:
 
 # ----- config files and flags -----------------------------------------------
 
+_COMMENT = re.compile(r"(?:^|\s)#")  # a value such as run#1.csv keeps its '#'
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -329,11 +338,12 @@ def config_from_mapping(raw: Mapping[str, str], **overrides) -> ExperimentConfig
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
-    """Parse a `key = value` config file (# comments) into an ExperimentConfig."""
+    """Parse a `key = value` config file into an ExperimentConfig; a ``#`` at
+    the start of a line or after whitespace starts a comment."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            stripped = _COMMENT.split(line, 1)[0].strip()
             if not stripped:
                 continue
             key, sep, value = (part.strip() for part in stripped.partition("="))

@@ -71,7 +71,7 @@ def bond_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> Percolati
         keep = rng.random(g.m) < pi
         kept_src = g.src[keep]
         kept_dst = g.dst[keep]
-    percolated = Digraph(g.n, kept_src, kept_dst, copy=False, check=False)
+    percolated = Digraph._from_arrays(g.n, kept_src, kept_dst)
     return PercolationOutcome(percolated, "bond", pi, np.empty(0, dtype=np.int64))
 
 
@@ -92,6 +92,6 @@ def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> Percolati
         kept_dst = g.dst[keep]
     else:
         kept_src, kept_dst = g.src, g.dst
-    percolated = Digraph(g.n, kept_src, kept_dst, copy=False, check=False)
+    percolated = Digraph._from_arrays(g.n, kept_src, kept_dst)
     return PercolationOutcome(percolated, "site", pi, deleted)
 

@@ -417,6 +417,21 @@ def test_experiment_bad_flag_value_exit_codes(capsys, flag, value, code):
     assert (code_got, out) == (code, "")
 
 
+def test_experiment_hopeless_input_exits_two(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("3 1 0.5\n1 3 0.5\n")
+    csv_path = tmp_path / "t.csv"
+    base = ["experiment", "--pi-grid", "0.5", "--trials", "2", "--csv", str(csv_path)]
+    for extra, message in [
+        (["--dist", "const:3", "--n", "3", "--fixed-sequence"], "not graphical"),
+        (["--dist", f"file:{table}", "--n", "5"], "can never balance at n=5"),
+    ]:
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert (code, out) == (2, "")
+        assert message in err
+    assert not csv_path.exists()
+
+
 # Per config key: its file value and the arguments after its flag, both
 # different from BASE_SETTINGS and from the defaults.
 SETTINGS = {

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import io
 import itertools
 import math
@@ -52,6 +53,20 @@ def test_digraph_fields():
     assert g.degree_sequence() == DegreeSequence([(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
         Digraph(2, [0], [5])
+
+
+def test_digraph_copies_and_checks_input():
+    assert list(inspect.signature(Digraph).parameters) == ["n", "src", "dst"]
+    src, dst = np.array([0, 1]), np.array([1, 2])
+    g = Digraph(3, src, dst)
+    src[0], dst[0] = 2, 0
+    assert g.edges == [(0, 1), (1, 2)]
+    assert not (g.src.flags.writeable or g.dst.flags.writeable)
+    for bad in ([0, -1], [0, 3]):
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            Digraph(3, bad, [1, 2])
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            Digraph(3, [1, 2], bad)
 
 
 @pytest.mark.parametrize(
@@ -395,6 +410,20 @@ def test_edge_list_edge_count_must_match_header(tmp_path):
     with pytest.raises(DistributionFormatError, match="m=3") as info:
         read_edge_list(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_edge_list_header_later_whole_line_comment_wins(tmp_path, newline):
+    path = tmp_path / "g.txt"
+    lines = ["# n=3 m=9 naïve", "0 1", "\t# n=5 m=2", "1 4 # m=7 on an edge line is no header", ""]
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    g = read_edge_list(path)
+    assert (g.n, g.edges) == (5, [(0, 1), (1, 4)])
+    lines[2] = "# n=5x"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    with pytest.raises(DistributionFormatError) as info:
+        read_edge_list(path)
+    assert str(info.value).startswith(f"{path}:3: ")
 
 
 @pytest.mark.parametrize("header", ["# n=abc m=2", "# n=6 m=two"])

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_sequence_fields():
     assert seq.m == seq.in_sum == 4
     with pytest.raises(ValueError):
         DegreeSequence([(1, -1)])
+
+
+def test_sequence_from_arrays_copies_and_checks():
+    ins = np.array([1, 0])
+    seq = DegreeSequence.from_arrays(ins, [0, 1])
+    ins[0] = 5
+    assert seq == DegreeSequence([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        DegreeSequence.from_arrays([1, -1], [0, 0])
+    with pytest.raises(ValueError, match="equal length"):
+        DegreeSequence.from_arrays([1], [0, 1])
 
 
 # ----- is_graphical ----------------------------------------------------------
@@ -341,6 +353,64 @@ def test_distribution_file_comments_and_tolerance(tmp_path):
     assert dist.ps.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_distribution_file_order_does_not_matter(tmp_path):
+    dist = DegreeDistribution.geometric(0.5)
+    columns = (dist.js.tolist(), dist.ks.tolist(), dist.ps.tolist())
+    rows = [f"{j} {k} {p!r}\n" for j, k, p in zip(*columns)]
+    in_order = tmp_path / "sorted.txt"
+    in_order.write_text("".join(rows))
+    rng_for(3).shuffle(rows)
+    shuffled = tmp_path / "shuffled.txt"
+    shuffled.write_text("# shuffled\n" + "".join(rows))
+    a, b = read_distribution(in_order), read_distribution(shuffled)
+    for name in ("js", "ks", "ps"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_allclose(a.ps, dist.ps, rtol=1e-12)
+    assert a.moments == b.moments
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1 1 0.25\n2 0 0.25\n1 1 0.5\n", DistributionFormatError, "repeated entry for (1, 1)"),
+        ("1 1 0.5\n", DistributionFormatError, "probabilities sum to 0.5"),
+        ("2 0 0.5\n0 0 0.5\n", ImbalanceError, "mean in-degree 1.0 != mean out-degree 0.0"),
+        ("# only a comment\n", DistributionFormatError, "empty distribution"),
+    ],
+)
+def test_distribution_file_errors_name_the_file(tmp_path, text, error, message):
+    path = tmp_path / "dist.txt"
+    path.write_text(text)
+    with pytest.raises(error, match="^" + re.escape(f"{path}: {message}")):
+        read_distribution(path)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("# j k p\n1 1 0.5\n\n0 0 x\n", 4),
+        ("1 1 0.5\n0 0\n", 2),
+        ("1 1 0.5 # ok\n0 0 0.5 7\n", 2),
+        ("1 1 0.5\n1.5 0 0.5\n", 2),
+        ("0 0 0.5\n99999999999999999999 1 0.5\n", 2),
+        ("0 0 1_0\n", 1),
+    ],
+)
+def test_distribution_file_bad_line_names_path_and_line(tmp_path, text, lineno):
+    path = tmp_path / "dist.txt"
+    path.write_text(text)
+    with pytest.raises(DistributionFormatError) as info:
+        read_distribution(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
+
+
+def test_distribution_file_compressed_suffix(tmp_path):
+    path = tmp_path / "dist.txt.gz"
+    path.write_text("0 0 1\n")
+    with pytest.raises(DistributionFormatError, match="compressed input is not supported"):
+        read_distribution(path)
+
+
 def test_sequence_file_roundtrip(tmp_path):
     seq = DegreeSequence([(1, 2), (2, 1), (0, 0)])
     path = tmp_path / "seq.txt"
@@ -351,7 +421,12 @@ def test_sequence_file_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "text, lineno",
-    [("1 1\n\n# note\n2\n", 4), ("1 1 # ok\n1 x\n", 2), ("99999999999999999999 1\n", 1)],
+    [
+        ("1 1\n\n# note\n2\n", 4),
+        ("1 1 # ok\n1 x\n", 2),
+        ("99999999999999999999 1\n", 1),
+        pytest.param("1 1\n" * 5000 + "# note\n\n1 x\n" + "1 1\n" * 5000, 5003, id="deep"),
+    ],
 )
 def test_sequence_file_bad_line_names_path_and_line(tmp_path, text, lineno):
     path = tmp_path / "seq.txt"

@@ -16,7 +16,8 @@ from dipercolate import (
     trial_seed,
     write_csv,
 )
-from dipercolate.errors import ConfigError
+from dipercolate import experiments
+from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError
 from dipercolate.experiments import CSV_COLUMNS, config_from_mapping
 
 
@@ -131,6 +132,15 @@ def test_config_unknown_key_names_line(tmp_path, key):
         config_from_mapping({"dist": "const:1", "n": "4", "pi_grid": "0.5", key: "3"})
 
 
+def test_config_hash_inside_a_value_is_kept(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "# a sweep\ndist = const:1\nn = 5  # note\npi_grid = 0.5\t# one pi\ncsv = run#1.csv\n"
+    )
+    config = load_config(path)
+    assert (config.n, config.pi_grid, config.csv_path) == (5, (0.5,), "run#1.csv")
+
+
 # ----- seeding -----------------------------------------------------------------
 
 
@@ -220,6 +230,23 @@ def test_failed_trials_recorded_not_dropped():
     assert row["trials_ok"] == len(ok)
     assert row["trials_failed"] == len(failed)
     assert row["mean"] == pytest.approx(np.mean([r.scc_fraction for r in ok]))
+
+
+def test_hopeless_inputs_raise_before_any_trial(tmp_path, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(experiments, "_run_trial", no_trial)
+    csv_path = tmp_path / "t.csv"
+    # a simple digraph on three vertices has degrees at most 2, so const:3 has none
+    with pytest.raises(NotGraphicalError):
+        run_experiment(small_config(dist="const:3", n=3, fixed_sequence=True, csv_path=csv_path))
+    # j - k is 2 or -2, so the imbalance of five vertices is 2 modulo 4
+    table = tmp_path / "table.txt"
+    table.write_text("3 1 0.5\n1 3 0.5\n")
+    with pytest.raises(RepairFailedError, match="modulo 4"):
+        run_experiment(small_config(dist=f"file:{table}", n=5, csv_path=csv_path))
+    assert not csv_path.exists()
 
 
 # ----- summarize ----------------------------------------------------------------
