@@ -11,15 +11,18 @@ where mult(i,j) is the multiplicity of edge (i, j).  Conditioning on the
 outcome being simple yields the uniform distribution over simple digraphs
 with that degree sequence, which is what :func:`sample_simple` produces.
 
-Self-loops are not rejected by redrawing.  Each loop is removed by a
-switching with forward and backward rejection (McKay & Wormald, "Uniform
-generation of random regular graphs of moderate degree", J. Algorithms 11,
-1990), whose backward count is split into two cheap stages (incremental
-relaxation: Arman, Gao & Wormald, "Fast uniform generation of random graphs
-with given degree sequences", FOCS 2019).  Every step maps the uniform law on
-matchings with k loops to the uniform law on those with k - 1, so the
-loop-free result is uniform; only draws with a repeated edge, or with more
-loops than the bounds allow, are redrawn.
+Self-loops and doubled edges are not rejected by redrawing.  Each loop, and
+then each double, is removed by a switching with forward and backward
+rejection (McKay & Wormald, "Uniform generation of random regular graphs of
+moderate degree", J. Algorithms 11, 1990), whose backward count is split into
+two cheap stages (incremental relaxation: Arman, Gao & Wormald, "Fast uniform
+generation of random graphs with given degree sequences", FOCS 2019).  Every
+loop step maps the uniform law on matchings with k loops to the uniform law on
+those with k - 1, and every double step does the same for loop-free matchings
+without triple edges and with k doubles, so the simple result is uniform.
+Only draws with an edge repeated three times, more loops than ``max_loops``
+or more doubles than ``max_doubles`` (the largest counts whose bounds the
+sequence's degrees prove), or a rejected switching are redrawn.
 """
 
 from __future__ import annotations
@@ -100,7 +103,9 @@ class Digraph:
 
     @functools.cached_property
     def simple(self) -> bool:
-        return not (self.src == self.dst).any() and _no_repeated_edges(self.src, self.dst, self.n)
+        if (self.src == self.dst).any():
+            return False
+        return not _repeated_edges(self.src, self.dst, self.n)[0].size
 
     def degree_sequence(self) -> DegreeSequence:
         ins = np.bincount(self.dst, minlength=self.n)
@@ -111,43 +116,78 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-def _no_repeated_edges(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
+def _repeated_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """Keys ``src * n + dst`` of the repeated edges, and whether one repeats three times.
+
+    One sort of the m keys; each key appears once per extra copy of its edge.
+    """
     key = np.sort(src * np.int64(n) + dst)
-    return bool((key[1:] != key[:-1]).all())
+    hits = np.flatnonzero(key[1:] == key[:-1])
+    return key[hits], hits.size > 1 and bool((np.diff(hits) == 1).any())
 
 
 class _Stubs:
-    """Stub owners of a sequence and the constants of its loop switching.
+    """Stub owners of a sequence and the constants of its two switchings.
 
     Slot j pairs in-stub j, owned by ``in_owner[j]`` (canonical vertex order,
     so vertex w owns slots ``in_start[w]:in_start[w + 1]``), with an out-stub
-    of the vertex a matching puts at ``src[j]``.  ``max_loops`` is the
-    largest loop count L whose switchings keep both backward bounds positive;
-    the bounds are Python ints.
+    of the vertex a matching puts at ``src[j]``.  ``max_loops`` and
+    ``max_doubles`` are the largest loop and double counts whose switchings
+    keep both backward bounds positive; the bounds are Python ints.
     """
 
     def __init__(self, seq: DegreeSequence):
+        self.n = seq.n
         vertices = np.arange(seq.n, dtype=np.int64)
         self.in_owner = np.repeat(vertices, seq.in_degrees)
         self.out_owner = np.repeat(vertices, seq.out_degrees)
         self.in_owner.setflags(write=False)
         self.out_owner.setflags(write=False)
         self.in_start = np.concatenate(([0], np.cumsum(seq.in_degrees)))
-        self.d_in = seq.in_degrees
-        self.d_out = seq.out_degrees
+        self.d_in = d_in = seq.in_degrees
+        self.d_out = d_out = seq.out_degrees
         self.m = m = seq.m
-        self.m11 = m11 = exact_sum(seq.in_degrees, seq.out_degrees)
-        self.span = span = int((seq.in_degrees + seq.out_degrees).max()) if seq.n else 0
+        self.m11 = m11 = exact_sum(d_in, d_out)
+        self.span = span = int((d_in + d_out).max()) if seq.n else 0
         self.d_max = seq.d_max
         # T1 * N3 <= m11 * m must fit the int64 acceptance draw
         if span and m11 * m <= INT64_MAX:
             self.max_loops = max(0, min((m11 - 1) // span, m - 3 - 2 * self.d_max) + 1)
         else:
             self.max_loops = 0
+        # ordered pairs of distinct out-stubs (in-stubs) of one vertex: sum d(d - 1)
+        self.m2_out = exact_sum(d_out, d_out) - m
+        self.m2_in = exact_sum(d_in, d_in) - m
+        self.top_in = int(d_in.max()) if seq.n else 0
+        self.top_out = int(d_out.max()) if seq.n else 0
+        a_min, b_min = self.double_bounds(0)
+        # A * B <= m2_out * m2_in must fit the int64 acceptance draw; a
+        # positive bound implies top_out >= 2 and top_in >= 2
+        if a_min > 0 and b_min > 0 and self.m2_out * self.m2_in <= INT64_MAX:
+            self.max_doubles = 1 + min(
+                (a_min - 1) // (4 * self.top_out - 6), (b_min - 1) // (4 * self.top_in - 6)
+            )
+        else:
+            self.max_doubles = 0
 
     def bounds(self, j: int) -> tuple[int, int]:
         """(T1_min, N3_min) over every matching with j loops."""
         return self.m11 - j * self.span, self.m - j - 2 - 2 * self.d_max
+
+    def double_bounds(self, j: int) -> tuple[int, int]:
+        """(A_min, B_min) over every loop-free, triple-free matching with j doubles.
+
+        A double at a vertex of degree d costs its ordered single-stub pairs at
+        most 4d - 6.  For B, the blocks of a and of its out-neighbours hold at
+        most (top_out + 1) top_in (top_in - 1) pairs, and at most
+        top_out * top_in slots have a source in {b1} or in-nbrs(b1) other
+        than a, each in at most top_in - 1 pairs; the same holds for b2.
+        """
+        d_in, d_out = self.top_in, self.top_out
+        return (
+            self.m2_out - j * (4 * d_out - 6),
+            self.m2_in - j * (4 * d_in - 6) - d_in * (d_in - 1) * (3 * d_out + 1),
+        )
 
 
 def _stubs(seq: DegreeSequence) -> _Stubs:
@@ -236,6 +276,142 @@ def _remove_loops(stubs: _Stubs, src: np.ndarray, is_loop: np.ndarray, rng) -> b
     return True
 
 
+def _lost_pairs(d: int, c: int) -> int:
+    """Ordered pairs of distinct single stubs that c doubles take from a vertex of degree d."""
+    return d * (d - 1) - (d - 2 * c) * (d - 2 * c - 1)
+
+
+class _DoubleRemoval:
+    """Double-removing switchings on one loop-free, triple-free matching ``src``.
+
+    A switching on a double a -> b at slots y1, y2 (in that order) with single
+    edges a1 -> b1 at slot q and a2 -> b2 at slot s sets
+    ``src[y1], src[y2], src[q], src[s] = a1, a2, a, a``: the pairs become
+    a1 -> b, a2 -> b, a -> b1 and a -> b2, one double fewer.  It needs q != s,
+    a1 != a2, b1 != b2, no new loop, and none of the four new pairs an edge
+    already.  Picking the ordered double among 2D and q, s among all m slots
+    gives every valid switching probability 1 / (2D m^2).
+
+    The inverse switchings into the result are counted in two stages: A ways
+    to pick (q, s), distinct single out-slots of one vertex a, then B ways to
+    pick (y1, y2) for that (q, s), distinct single in-slots of one vertex b
+    with b != a, a -> b not an edge, ``src[y1]`` not in {b1} or in-nbrs(b1),
+    and ``src[y2]`` not in {b2} or in-nbrs(b2).  Accepting with probability
+    ``(A_min / A) (B_min / B)`` gives every result the same probability.
+    """
+
+    def __init__(self, stubs: _Stubs, src: np.ndarray, keys: np.ndarray):
+        self.stubs = stubs
+        self.src = src
+        self.doubles = []  # (y1, y2) slot pairs
+        for key in keys.tolist():
+            a, b = divmod(key, stubs.n)
+            lo, hi = stubs.in_start[b], stubs.in_start[b + 1]
+            self.doubles.append(tuple((lo + np.flatnonzero(src[lo:hi] == a)).tolist()))
+        self.paired = {y for pair in self.doubles for y in pair}
+        self.doubles_from = Counter(int(src[y]) for y, _ in self.doubles)
+        self.doubles_into = Counter(int(stubs.in_owner[y]) for y, _ in self.doubles)
+        self.a = stubs.m2_out - sum(
+            _lost_pairs(int(stubs.d_out[v]), c) for v, c in self.doubles_from.items()
+        )
+        self.s2 = stubs.m2_in - sum(  # ordered pairs of single in-slots of one vertex
+            _lost_pairs(int(stubs.d_in[v]), c) for v, c in self.doubles_into.items()
+        )
+
+    def _is_edge(self, u: int, v: int) -> bool:
+        lo, hi = self.stubs.in_start[v], self.stubs.in_start[v + 1]
+        return bool((self.src[lo:hi] == u).any())
+
+    def _single_in(self, v: int) -> int:
+        return int(self.stubs.d_in[v]) - 2 * self.doubles_into.get(v, 0)
+
+    def switch(self, i: int, q: int, s: int) -> int | None:
+        """Switch double ``doubles[i // 2]``, its slots swapped when i is odd,
+        with slots q and s; return B, or None to f-reject.
+
+        On f-rejection nothing changes.
+        """
+        src, in_owner = self.src, self.stubs.in_owner
+        y1, y2 = self.doubles[i // 2]
+        if i % 2:
+            y1, y2 = y2, y1
+        a, b = int(src[y1]), int(in_owner[y1])
+        a1, b1 = int(src[q]), int(in_owner[q])
+        a2, b2 = int(src[s]), int(in_owner[s])
+        if (
+            q == s
+            or q in self.paired
+            or s in self.paired
+            or a1 == a2
+            or b1 == b2
+            or b in (a1, a2)
+            or a in (b1, b2)
+            or self._is_edge(a1, b)
+            or self._is_edge(a2, b)
+            or self._is_edge(a, b1)
+            or self._is_edge(a, b2)
+        ):
+            return None
+        src[y1], src[y2], src[q], src[s] = a1, a2, a, a
+        # one double fewer at a vertex with e single stubs adds
+        # (e + 2)(e + 1) - e(e - 1) = 4e + 2 ordered pairs of single stubs
+        self.a += 4 * (int(self.stubs.d_out[a]) - 2 * self.doubles_from[a]) + 2
+        self.s2 += 4 * self._single_in(b) + 2
+        self.doubles_from[a] -= 1
+        self.doubles_into[b] -= 1
+        self.paired -= {y1, y2}
+        self.doubles[i // 2] = self.doubles[-1]
+        self.doubles.pop()
+        return self._stage_b(a, b1, b2)
+
+    def _stage_b(self, a: int, b1: int, b2: int) -> int:
+        """B for the slots of a -> b1 and a -> b2: one pass over all m sources.
+
+        Per allowed block with s single slots, of which x1 (x2) have a source
+        barred for y1 (y2) and x12 for both, the count is
+        (s - x1)(s - x2) - (s - x1 - x2 + x12).
+        """
+        stubs, src = self.stubs, self.src
+        barred = np.zeros(stubs.n, dtype=np.int8)  # bit 1: y1, bit 2: y2, 4: a
+        for bit, v in ((1, b1), (2, b2)):
+            barred[src[stubs.in_start[v] : stubs.in_start[v + 1]]] |= bit
+            barred[v] |= bit
+        barred[a] = 4  # a's out-slots lie in its out-neighbours' blocks
+        hits = np.flatnonzero(barred[src] != 0)  # a bool array scans faster than int8
+        heads = stubs.in_owner[hits].tolist()
+        marks = barred[src[hits]].tolist()
+        excluded = {a}.union(w for w, mark in zip(heads, marks) if mark == 4)
+        x1, x2, x12 = Counter(), Counter(), Counter()
+        for y, w, mark in zip(hits.tolist(), heads, marks):
+            if w not in excluded and y not in self.paired:
+                x1[w] += mark & 1
+                x2[w] += mark >> 1
+                x12[w] += mark == 3
+        count = self.s2 - sum(s * (s - 1) for s in map(self._single_in, excluded))
+        for w in x1:
+            s = self._single_in(w)
+            count += x1[w] * x2[w] - x12[w] - (s - 1) * (x1[w] + x2[w])
+        return count
+
+
+def _remove_doubles(stubs: _Stubs, src: np.ndarray, keys: np.ndarray, rng) -> bool:
+    """Switch every double (a key of ``keys``) out of ``src`` in place; False
+    when the draw is rejected."""
+    if keys.size > stubs.max_doubles:
+        return False
+    state = _DoubleRemoval(stubs, src, keys)
+    while state.doubles:
+        i = int(rng.integers(2 * len(state.doubles)))
+        q, s = rng.integers(stubs.m, size=2).tolist()
+        b = state.switch(i, q, s)
+        if b is None:
+            return False
+        a_min, b_min = stubs.double_bounds(len(state.doubles))
+        if rng.integers(state.a * b) >= a_min * b_min:
+            return False
+    return True
+
+
 def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digraph:
     """Sample the multigraph induced by a uniform perfect stub matching.
 
@@ -257,11 +433,11 @@ def sample_simple(
 ) -> tuple[Digraph, int]:
     """Sample a uniform simple digraph with degree sequence ``seq``.
 
-    Each attempt draws a uniform configuration.  Its self-loops, if few
-    enough for the switching bounds of the sequence to hold, are removed by
-    exact switchings, which keep the matching uniform among loop-free ones
-    or reject the draw; a draw with a repeated edge is rejected.  Returns the graph together with
-    the number of configuration draws used.
+    Each attempt draws a uniform configuration.  Its self-loops, then its
+    doubled edges, if few enough for the switching bounds of the sequence to
+    hold, are removed by exact switchings, which keep the matching uniform or
+    reject the draw; a draw with an edge repeated three times is rejected.
+    Returns the graph together with the number of configuration draws used.
 
     Raises
     ------
@@ -282,7 +458,10 @@ def sample_simple(
         is_loop = src == in_owner
         if is_loop.any() and not (stubs.max_loops and _remove_loops(stubs, src, is_loop, rng)):
             continue
-        if _no_repeated_edges(src, in_owner, n):
+        keys, triple = _repeated_edges(src, in_owner, n)
+        if not keys.size or (
+            stubs.max_doubles and not triple and _remove_doubles(stubs, src, keys, rng)
+        ):
             return Digraph._from_arrays(n, src, in_owner), attempt
     raise AttemptsExhaustedError(max_attempts)
 
@@ -296,8 +475,11 @@ def simple_probability(dist: DegreeDistribution, formula: str) -> float:
     - ``"standard"``:   exp(-mu11/mu - (mu20 - mu)(mu02 - mu)/(2 mu^2))
 
     The first term counts expected self-loops, the second expected duplicate
-    edge pairs; the Monte Carlo acceptance rate decides between the variants
-    empirically (see the acceptance suite).
+    edge pairs; the acceptance rate of plain configuration draws decides
+    between the variants empirically (see the acceptance suite).  The draw
+    count of :func:`sample_simple` no longer follows it once the sequence
+    allows switchings (``max_loops`` or ``max_doubles`` above 0): switched
+    loops and doubles cost no redraw.
     """
     if formula not in ("as_printed", "standard"):
         raise ValueError(f"formula must be 'as_printed' or 'standard', got {formula!r}")

@@ -34,6 +34,7 @@ from .errors import (
     EmptySequenceError,
     ImbalanceError,
     InvalidSequenceError,
+    NotGraphicalError,
     RepairFailedError,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "PropernessReport",
     "require_valid",
     "require_balanceable",
+    "require_simple_support",
     "is_graphical",
     "empirical_distribution",
     "properness_report",
@@ -291,6 +293,12 @@ class DegreeDistribution:
     def mu02(self) -> float:
         return self.moments[(0, 2)]
 
+    @functools.cached_property
+    def _lattice(self) -> tuple[int, int]:
+        """(d0, g): every d = j - k on the support is d0 modulo g = gcd(d - d0)."""
+        d = self.js - self.ks
+        return int(d[0]), int(np.gcd.reduce(d - d[0]))
+
     @property
     def max_in(self) -> int:
         return int(self.js.max())
@@ -468,14 +476,23 @@ def properness_report(seq: DegreeSequence) -> PropernessReport:
 
 def require_balanceable(dist: DegreeDistribution, n: int) -> None:
     """Raise :class:`RepairFailedError` unless n pairs from ``dist`` can have equal sums:
-    every d = j - k on the support is d[0] modulo g = gcd(d - d[0]), so n pairs are n * d[0] off
-    modulo g."""
-    d = dist.js - dist.ks
-    g = int(np.gcd.reduce(d - d[0]))
-    if g and n * int(d[0]) % g:
+    every d = j - k on the support is d0 modulo g, so n pairs are n * d0 off modulo g.
+    (d0, g) is cached on the distribution."""
+    d0, g = dist._lattice
+    if g and n * d0 % g:
         raise RepairFailedError(
             f"degree sums can never balance at n={n}: every imbalance is "
-            f"{n * int(d[0]) % g} modulo {g}"
+            f"{n * d0 % g} modulo {g}"
+        )
+
+
+def require_simple_support(dist: DegreeDistribution, n: int) -> None:
+    """Raise :class:`NotGraphicalError` when every support point of ``dist`` has
+    a degree of n or more, which no simple digraph on n vertices has."""
+    if not (np.maximum(dist.js, dist.ks) < n).any():
+        raise NotGraphicalError(
+            f"degree sequences from this distribution are not graphical at n={n}: "
+            f"every support point has a degree of at least {n}"
         )
 
 

@@ -37,6 +37,7 @@ from .degrees import (
     is_graphical,
     realize_sequence,
     require_balanceable,
+    require_simple_support,
 )
 from .errors import (
     AttemptsExhaustedError,
@@ -202,11 +203,13 @@ def run_experiment(
     ``config.threads``.  CSV and JSON files are written when the config
     carries paths for them.  Before any trial, :class:`RepairFailedError` is
     raised if the degree sums can never balance at n, and
-    :class:`NotGraphicalError` if a fixed sequence is not graphical.
+    :class:`NotGraphicalError` if every support point has a degree of n or
+    more, or if a fixed sequence is not graphical.
     """
     if dist is None:
         dist = distribution_from_spec(config.dist)
     require_balanceable(dist, config.n)
+    require_simple_support(dist, config.n)
     fixed_seq = None
     if config.fixed_sequence:
         fixed_seq = realize_sequence(

@@ -432,6 +432,17 @@ def test_experiment_hopeless_input_exits_two(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_experiment_support_too_large_exits_two(tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", "--dist", "const:3", "--n", "3", "--pi-grid", "0.5",
+        "--trials", "2", "--csv", str(csv_path),
+    )
+    assert (code, out) == (2, "")
+    assert "not graphical at n=3" in err
+    assert not csv_path.exists()
+
+
 # Per config key: its file value and the arguments after its flag, both
 # different from BASE_SETTINGS and from the defaults.
 SETTINGS = {

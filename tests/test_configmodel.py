@@ -4,7 +4,7 @@ import io
 import itertools
 import math
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -299,25 +299,11 @@ def _preimage_count(src, in_owner, y, q):
     return count
 
 
-@pytest.mark.parametrize(
-    "ins, outs",
-    [
-        ((1,) * 6, (1,) * 6),
-        ((2,) * 4, (2,) * 4),
-        ((2, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1)),
-    ],
-)
-def test_loop_switching_kernel_is_exact(ins, outs):
-    # Push the uniform law on the matchings with l loops, l <= max_loops,
-    # through the sampler's own switching step and acceptance factors, in
-    # exact arithmetic: every loop-free matching must end with equal mass.
-    stubs = configmodel._stubs(DegreeSequence(zip(ins, outs)))
+def _loop_kernel(stubs, layers):
+    """Matching -> [(result, probability)] of the sampler's loop step, for the
+    matchings with 1 to max_loops loops; checks T1 and N3 against enumeration."""
     in_owner, m = stubs.in_owner.tolist(), stubs.m
-    assert stubs.max_loops >= 1
-    layers = defaultdict(list)
-    for arr in set(itertools.permutations(stubs.out_owner.tolist())):
-        layers[sum(a == b for a, b in zip(arr, in_owner))].append(arr)
-    kernel = {}  # matching -> [(result, probability)], l -> l - 1 loops
+    kernel = {}
     for k in range(1, stubs.max_loops + 1):
         t1_min, n3_min = stubs.bounds(k - 1)
         assert t1_min > 0 and n3_min > 0
@@ -339,16 +325,275 @@ def test_loop_switching_kernel_is_exact(ins, outs):
                 assert state.t1 == _inverse_pairs(out, in_owner) >= t1_min
                 assert n3 == _preimage_count(out, in_owner, y, q) >= n3_min
                 moves.append((out, Fraction(t1_min * n3_min, state.t1 * n3 * k * m * m)))
+    return kernel
+
+
+def _push(mass, kernel, steps):
+    for _ in range(steps):
+        pushed = defaultdict(Fraction)
+        for arr, weight in mass.items():
+            for out, p in kernel[arr]:
+                pushed[out] += weight * p
+        mass = pushed
+    return mass
+
+
+@pytest.mark.parametrize(
+    "ins, outs",
+    [
+        ((1,) * 6, (1,) * 6),
+        ((2,) * 4, (2,) * 4),
+        ((2, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1)),
+    ],
+)
+def test_loop_switching_kernel_is_exact(ins, outs):
+    # Push the uniform law on the matchings with l loops, l <= max_loops,
+    # through the sampler's own switching step and acceptance factors, in
+    # exact arithmetic: every loop-free matching must end with equal mass.
+    stubs = configmodel._stubs(DegreeSequence(zip(ins, outs)))
+    in_owner = stubs.in_owner.tolist()
+    assert stubs.max_loops >= 1
+    layers = defaultdict(list)
+    for arr in set(itertools.permutations(stubs.out_owner.tolist())):
+        layers[sum(a == b for a, b in zip(arr, in_owner))].append(arr)
+    kernel = _loop_kernel(stubs, layers)
     for loops in range(1, stubs.max_loops + 1):
-        mass = {arr: Fraction(1) for arr in layers[loops]}
-        for _ in range(loops):
-            pushed = defaultdict(Fraction)
-            for arr, weight in mass.items():
-                for out, p in kernel[arr]:
-                    pushed[out] += weight * p
-            mass = pushed
+        mass = _push({arr: Fraction(1) for arr in layers[loops]}, kernel, loops)
         assert sorted(mass) == sorted(layers[0])
         assert len(set(mass.values())) == 1
+
+
+def _single_out_pairs(src, in_owner):
+    """A by definition: ordered slots q != s, both single edges, with one source."""
+    mult = Counter(zip(src, in_owner))
+    single = [j for j, e in enumerate(zip(src, in_owner)) if mult[e] == 1]
+    return sum(src[q] == src[s] for q in single for s in single if q != s)
+
+
+def _double_count(src, in_owner):
+    """Number of doubles of a loop-free matching, or None if it has an edge three times."""
+    mult = Counter(zip(src, in_owner)).values()
+    return None if max(mult) > 2 else sum(c == 2 for c in mult)
+
+
+def _double_state(stubs, arr):
+    src = np.array(arr, dtype=np.int64)
+    keys, triple = configmodel._repeated_edges(src, stubs.in_owner, stubs.n)
+    assert not triple
+    return configmodel._DoubleRemoval(stubs, src, keys)
+
+
+def _double_classes(stubs):
+    """Matchings by loop count, and the loop-free, triple-free ones by double count."""
+    in_owner = stubs.in_owner.tolist()
+    loop_layers, classes = defaultdict(list), defaultdict(list)
+    for arr in set(itertools.permutations(stubs.out_owner.tolist())):
+        loops = sum(a == b for a, b in zip(arr, in_owner))
+        loop_layers[loops].append(arr)
+        if not loops and _double_count(arr, in_owner) is not None:
+            classes[_double_count(arr, in_owner)].append(arr)
+    return loop_layers, classes
+
+
+def _double_kernel(stubs, classes, top):
+    """Matching -> [(result, q, s, A, B)] of the sampler's double step for the
+    matchings with 1 to ``top`` doubles, checking A and B against enumeration,
+    and the enumerated minima of A and B over the classes 0 to top - 1."""
+    in_owner, m = stubs.in_owner.tolist(), stubs.m
+    kernel = {}
+    into = Counter()  # (result, q, s) -> switchings into the result through (q, s)
+    for d in range(1, top + 1):
+        for arr in classes[d]:
+            start = _double_state(stubs, arr)
+            assert start.a == _single_out_pairs(arr, in_owner)
+            moves = kernel[arr] = []
+            for i, q, s in itertools.product(range(2 * d), range(m), range(m)):
+                state = copy.copy(start)
+                state.src, state.paired = start.src.copy(), set(start.paired)
+                state.doubles = list(start.doubles)
+                state.doubles_from = start.doubles_from.copy()
+                state.doubles_into = start.doubles_into.copy()
+                b = state.switch(i, q, s)
+                if b is None:
+                    assert np.array_equal(state.src, start.src)
+                    continue
+                out = tuple(state.src.tolist())
+                assert out[q] == out[s] and _double_count(out, in_owner) == d - 1
+                assert not any(a == b for a, b in zip(out, in_owner))
+                assert state.a == _single_out_pairs(out, in_owner)
+                moves.append((out, q, s, state.a, b))
+                into[out, q, s] += 1
+    for moves in kernel.values():
+        for out, q, s, _, b in moves:
+            assert b == into[out, q, s]
+    a_min, b_min = {}, {}
+    for d in range(top):
+        for arr in classes[d]:
+            state = _double_state(stubs, arr)
+            a_min[d] = min(a_min.get(d, state.a), state.a)
+            for q, s in itertools.permutations(range(m), 2):
+                if arr[q] == arr[s] and not state.paired & {q, s}:
+                    b = state._stage_b(arr[q], in_owner[q], in_owner[s])
+                    assert b == into[arr, q, s]
+                    b_min[d] = min(b_min.get(d, b), b)
+        closed_a, closed_b = stubs.double_bounds(d)
+        assert closed_a <= a_min[d] and closed_b <= b_min.get(d, 0)
+    return kernel, a_min, b_min
+
+
+@pytest.mark.parametrize(
+    "ins, outs",
+    [
+        ((2,) * 4, (2,) * 4),
+        ((3, 2, 1, 1, 1), (1, 2, 2, 1, 2)),
+    ],
+)
+def test_double_switching_counts_are_exact(ins, outs):
+    # A and B of every switching between classes of up to three doubles
+    # equal their enumerated counts, and the closed-form bounds do not
+    # exceed the enumerated minima.
+    stubs = configmodel._stubs(DegreeSequence(zip(ins, outs)))
+    _, classes = _double_classes(stubs)
+    _double_kernel(stubs, classes, min(3, max(classes)))
+
+
+# Sources (0, 2) and sinks (2, 0), one with a (1, 1) vertex that can carry
+# a loop, and the enumerated minima of (A, B) over their classes with 0 to
+# top - 1 doubles, where top is the number of entries.
+SMALL_DOUBLE_CASES = {
+    ((0,) * 3 + (2,) * 3, (2,) * 3 + (0,) * 3): [(6, 1)],
+    ((0,) * 4 + (2,) * 4, (2,) * 4 + (0,) * 4): [(8, 2), (6, 1)],
+    ((0,) * 3 + (2,) * 3 + (1,), (2,) * 3 + (0,) * 3 + (1,)): [(6, 1)],
+}
+
+
+@pytest.mark.parametrize("ins, outs", SMALL_DOUBLE_CASES)
+def test_double_switching_kernel_is_exact(ins, outs):
+    # Every matching with l <= max_loops loops goes through the loop step,
+    # then every loop-free one with d <= top doubles through the sampler's
+    # double step, in exact arithmetic: every simple matching must end with
+    # equal mass.  No sequence this small has positive closed-form double
+    # bounds (max_doubles is 0 on all three), so the double step is pushed
+    # with the enumerated minima of A and B.
+    stubs = configmodel._stubs(DegreeSequence(zip(ins, outs)))
+    m = stubs.m
+    assert stubs.max_doubles == 0
+    loop_layers, classes = _double_classes(stubs)
+    top = len(SMALL_DOUBLE_CASES[ins, outs])
+    kernel, a_min, b_min = _double_kernel(stubs, classes, top)
+    assert [(a_min[d], b_min[d]) for d in range(top)] == SMALL_DOUBLE_CASES[ins, outs]
+    mass = {arr: Fraction(1) for arr in loop_layers[0]}
+    loop_kernel = _loop_kernel(stubs, loop_layers)
+    for loops in range(1, stubs.max_loops + 1):
+        start = {arr: Fraction(1) for arr in loop_layers[loops]}
+        for arr, weight in _push(start, loop_kernel, loops).items():
+            mass[arr] += weight
+    loops_only = mass[classes[0][0]]
+    for d in range(top, 0, -1):
+        pushed = defaultdict(Fraction)
+        for arr in classes[d]:
+            for out, q, s, a, b in kernel[arr]:
+                accept = Fraction(a_min[d - 1] * b_min[d - 1], a * b)
+                pushed[out] += mass[arr] * accept / (2 * d * m * m)
+        for arr, weight in pushed.items():
+            mass[arr] += weight
+    final = {mass[arr] for arr in classes[0]}
+    assert len(final) == 1 and final.pop() > loops_only
+
+
+@pytest.mark.parametrize("ins, outs", SMALL_DOUBLE_CASES)
+def test_sample_simple_uniform_with_double_switching(ins, outs, monkeypatch):
+    # The sampler itself, with its double step run on the enumerated minima
+    # of SMALL_DOUBLE_CASES (the closed-form bounds are not positive this
+    # small): a chi-square over every simple digraph of the sequence.
+    seq = DegreeSequence(zip(ins, outs))
+    stubs = configmodel._stubs(seq)
+    minima = SMALL_DOUBLE_CASES[ins, outs]
+    monkeypatch.setattr(stubs, "max_doubles", len(minima))
+    monkeypatch.setattr(stubs, "double_bounds", minima.__getitem__)
+    counts, _ = _oracles.configuration_outcome_counts(ins, outs)
+    graphs = [sig for sig in counts if len(set(sig)) == len(sig) and all(u != v for u, v in sig)]
+    rng = rng_for(3)
+    seen = Counter(edge_signature(sample_simple(seq, rng)[0]) for _ in range(len(graphs) * 400))
+    assert set(seen) == set(graphs)
+    assert stats.chisquare([seen[sig] for sig in graphs]).pvalue > 0.001
+
+
+def _reciprocated_pairs(g):
+    edges = set(g.edges)
+    return sum((v, u) in edges for u, v in edges) // 2
+
+
+def test_sample_simple_matches_rejection_with_both_switchings():
+    # nine (2, 2) vertices: closed-form bounds allow 9 loops and 2 doubles;
+    # the count of reciprocated pairs against rejection sampling
+    seq = DegreeSequence([(2, 2)] * 9)
+    stubs = configmodel._stubs(seq)
+    assert (stubs.max_loops, stubs.max_doubles) == (9, 2)
+    rng = rng_for(5)
+    draws = 10_000
+    switched = Counter(_reciprocated_pairs(sample_simple(seq, rng)[0]) for _ in range(draws))
+    rejected = Counter()
+    while sum(rejected.values()) < draws:
+        g = sample_configuration(seq, rng)
+        if g.simple:
+            rejected[_reciprocated_pairs(g)] += 1
+    keys = sorted(set(switched) | set(rejected))
+    table = [[switched[k] for k in keys], [rejected[k] for k in keys]]
+    assert stats.chi2_contingency(table).pvalue > 0.001
+
+
+def _backward_pairs(src, in_owner, q, s):
+    """B by its definition: ordered single in-slots (y1, y2) of one vertex b
+    for the out-slots q, s of a."""
+    mult = Counter(zip(src, in_owner))
+    a, b1, b2 = src[q], in_owner[q], in_owner[s]
+    barred1 = {b1} | {u for u, v in mult if v == b1}
+    barred2 = {b2} | {u for u, v in mult if v == b2}
+    single = [y for y in range(len(src)) if mult[src[y], in_owner[y]] == 1]
+    return sum(
+        y1 != y2
+        and in_owner[y1] == in_owner[y2] != a
+        and (a, in_owner[y1]) not in mult
+        and src[y1] not in barred1
+        and src[y2] not in barred2
+        for y1 in single
+        for y2 in single
+    )
+
+
+def test_double_bounds_hold_on_random_matchings():
+    # nine (2, 2) vertices, where the closed-form B bound is within 2 of the
+    # smallest B seen: every A and B is at least its bound, and B equals its
+    # definition
+    stubs = configmodel._stubs(DegreeSequence([(2, 2)] * 9))
+    in_owner = stubs.in_owner.tolist()
+    rng = rng_for(9)
+    seen = Counter()
+    for _ in range(2000):
+        src = rng.permutation(stubs.out_owner)
+        keys, triple = configmodel._repeated_edges(src, stubs.in_owner, stubs.n)
+        if (src == stubs.in_owner).any() or triple or keys.size >= stubs.max_doubles:
+            continue
+        seen[keys.size] += 1
+        state = configmodel._DoubleRemoval(stubs, src, keys)
+        a_min, b_min = stubs.double_bounds(keys.size)
+        assert state.a >= a_min
+        arr = src.tolist()
+        for q, s in itertools.permutations(range(stubs.m), 2):
+            if arr[q] == arr[s] and not state.paired & {q, s}:
+                b = state._stage_b(arr[q], in_owner[q], in_owner[s])
+                assert b == _backward_pairs(arr, in_owner, q, s) >= b_min
+    assert seen[0] > 50 and seen[1] > 50
+
+
+def test_sample_simple_draws_on_poisson2():
+    # one draw per graph is the common case: doubles and loops are switched
+    seq = degrees.realize_sequence(DegreeDistribution.poisson(2.0), 20_000, rng_for(1))
+    stubs = configmodel._stubs(seq)
+    assert stubs.max_loops > 0 and stubs.max_doubles > 0
+    draws = [sample_simple(seq, rng_for(seed))[1] for seed in range(40)]
+    assert np.mean(draws) <= 1.5
 
 
 # ----- simple_probability --------------------------------------------------------

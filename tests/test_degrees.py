@@ -317,6 +317,15 @@ def test_realize_repair_budget_when_lattice_allows():
         realize_sequence(dist, 1, rng_for(0))
 
 
+def test_lattice_is_computed_once(monkeypatch):
+    dist = DegreeDistribution({(2, 1): 0.5, (0, 1): 0.5})
+    assert dist._lattice == (-1, 2)
+    monkeypatch.setattr(np, "gcd", None)  # a second gcd pass would fail
+    with pytest.raises(RepairFailedError, match="1 modulo 2"):
+        realize_sequence(dist, 1001, rng_for(0))
+    assert realize_sequence(dist, 1000, rng_for(0)).n == 1000
+
+
 def test_realize_rejects_bad_n():
     with pytest.raises(ValueError):
         realize_sequence(DegreeDistribution.constant(1), 0, rng_for(0))

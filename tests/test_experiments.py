@@ -16,7 +16,7 @@ from dipercolate import (
     trial_seed,
     write_csv,
 )
-from dipercolate import experiments
+from dipercolate import degrees, experiments
 from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError
 from dipercolate.experiments import CSV_COLUMNS, config_from_mapping
 
@@ -246,6 +246,21 @@ def test_hopeless_inputs_raise_before_any_trial(tmp_path, monkeypatch):
     table.write_text("3 1 0.5\n1 3 0.5\n")
     with pytest.raises(RepairFailedError, match="modulo 4"):
         run_experiment(small_config(dist=f"file:{table}", n=5, csv_path=csv_path))
+    assert not csv_path.exists()
+
+
+def test_support_without_small_degrees_raises_before_any_trial(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_trial", lambda *args: pytest.fail("a trial started"))
+    csv_path = tmp_path / "t.csv"
+    for fixed in (False, True):
+        with pytest.raises(NotGraphicalError, match="at least 3"):
+            run_experiment(small_config(dist="const:3", n=3, fixed_sequence=fixed, csv_path=csv_path))
+    # one support point fits, but the shared sequence is almost surely all (3, 3)
+    table = tmp_path / "table.txt"
+    table.write_text("0 0 0.000000001\n3 3 0.999999999\n")
+    degrees.require_simple_support(degrees.distribution_from_spec(f"file:{table}"), 3)
+    with pytest.raises(NotGraphicalError, match="shared degree sequence"):
+        run_experiment(small_config(dist=f"file:{table}", n=3, fixed_sequence=True))
     assert not csv_path.exists()
 
 
