@@ -64,6 +64,9 @@ FAMILY_TAIL_MASS = 1e-12
 
 MASS_TOL = 1e-6  # allowed distance of a table's total mass from 1
 MAX_REDRAWS_PER_VERTEX = 100  # realize_sequence's repair budget
+# redraws realize_sequence proposes at once; larger batches draw more past the
+# stop and hold larger temporaries, and were no faster at n = 1e6
+_REPAIR_BATCH = 4096
 INT64_MAX = 2**63 - 1
 MAX_KEY_WIDTH = math.isqrt(INT64_MAX)  # d_max + 1 at which a (j, k) key still fits int64
 
@@ -178,7 +181,10 @@ def is_graphical(seq: DegreeSequence) -> bool:
                               + sum_{i>k} min(d_out[i], k).
 
     Inequalities with k > d_max + 1 hold automatically (every min() saturates
-    at d_out), so only k <= d_max + 1 are evaluated.
+    at d_out), so only k <= d_max + 1 are evaluated, all at once in O(n): the
+    left side needs only the top d_max + 1 vertices in that order, and the
+    right side is sum_i min(d_out[i], k) - #{i < k : d_out[i] >= k}, the first
+    term from one count of the out-degrees.
 
     Raises
     ------
@@ -197,17 +203,22 @@ def _fulkerson_chen_anstee(seq: DegreeSequence) -> bool:
     n = seq.n
     if n == 0:
         return True
-    if seq.d_max >= n:
+    width = seq.d_max + 1  # inequalities k = 1..width; keys below width**2 <= n**2 fit int64
+    if width > n:
         return False
-    order = np.lexsort((-seq.out_degrees, -seq.in_degrees))
-    a = seq.in_degrees[order]
-    b = seq.out_degrees[order]
-    prefix_a = np.cumsum(a)
-    for k in range(1, min(n, seq.d_max + 1) + 1):
-        rhs = int(np.minimum(b[:k], k - 1).sum()) + int(np.minimum(b[k:], k).sum())
-        if prefix_a[k - 1] > rhs:
-            return False
-    return True
+    keys = seq.in_degrees * width + seq.out_degrees
+    # the first `width` vertices in nonincreasing (in, out) order
+    top = np.sort(np.partition(keys, n - width)[n - width :])[::-1]
+    a, b = np.divmod(top, width)
+    # sum_i min(d_out[i], k) = sum_{t=1..k} #{i : d_out[i] >= t}
+    saturated = np.cumsum(n - np.cumsum(np.bincount(seq.out_degrees, minlength=width)))
+    # prefix vertex i has d_out[i] >= k for k in (i, b[i]]: count those spans per k
+    i = np.arange(width)
+    spans = b > i
+    starts = np.bincount(i[spans], minlength=width)
+    ends = np.bincount(b[spans], minlength=width)
+    capped = np.cumsum(starts - ends)
+    return bool((np.cumsum(a) <= saturated - capped).all())
 
 
 class DegreeDistribution:
@@ -504,9 +515,13 @@ def realize_sequence(
     """Draw a valid n-vertex degree sequence approximately iid from ``dist``.
 
     Pairs are drawn iid; while the in- and out-sums disagree, one uniformly
-    chosen vertex has its pair redrawn from ``dist``.  :class:`RepairFailedError`
-    is raised after ``MAX_REDRAWS_PER_VERTEX * n`` redraws, or before any draw
-    when the sums can never balance (see :func:`require_balanceable`).
+    chosen vertex has its pair redrawn from ``dist``.  The redraws are
+    proposed in batches of up to ``_REPAIR_BATCH`` and replayed in order with
+    array operations, stopping at the first proposal that balances the sums,
+    so the chain is the one-at-a-time chain with another random stream.
+    :class:`RepairFailedError` is raised once ``MAX_REDRAWS_PER_VERTEX * n``
+    redraws have been used, or before any draw when the sums can never
+    balance (see :func:`require_balanceable`).
 
     The repair perturbs the iid marginals only slightly: when the table is
     balanced in expectation the sum difference is a mean-zero random walk
@@ -525,13 +540,35 @@ def realize_sequence(
                 f"degree-sum repair failed after {budget} redraws "
                 f"(residual imbalance {diff})"
             )
-        v = int(rng.integers(n))
-        i = int(dist._draw_indices(1, rng)[0])
-        diff += int(dist.js[i] - dist.ks[i]) - int(ins[v] - outs[v])
-        ins[v] = dist.js[i]
-        outs[v] = dist.ks[i]
-        redraws += 1
+        size = min(_REPAIR_BATCH, budget - redraws)
+        vertices = rng.integers(n, size=size)
+        idx = dist._draw_indices(size, rng)
+        used, diff = _replay_redraws(ins, outs, diff, vertices, dist.js[idx], dist.ks[idx])
+        redraws += used
     return DegreeSequence.from_arrays(ins, outs)
+
+
+def _replay_redraws(ins, outs, diff, vertices, new_in, new_out) -> tuple[int, int]:
+    """Give ``vertices[t]`` the pair ``(new_in[t], new_out[t])`` for t = 0, 1, ... in order,
+    stopping after the first t at which the imbalance ``diff`` (in-sum minus
+    out-sum) reaches 0; ``ins`` and ``outs`` are updated in place.  Returns the
+    number of redraws used and the imbalance left.
+    """
+    # a redraw replaces the pair its vertex's latest earlier redraw wrote, if any
+    order = np.argsort(vertices, kind="stable")
+    repeat = vertices[order[1:]] == vertices[order[:-1]]
+    new = new_in - new_out
+    old = ins[vertices] - outs[vertices]
+    old[order[1:][repeat]] = new[order[:-1][repeat]]
+    walk = np.cumsum(new - old)
+    balanced = np.flatnonzero(walk == -diff)
+    used = int(balanced[0]) + 1 if balanced.size else vertices.size
+    # write each vertex's last redraw among those used
+    order = order[order < used]
+    last = order[np.append(vertices[order[1:]] != vertices[order[:-1]], True)]
+    ins[vertices[last]] = new_in[last]
+    outs[vertices[last]] = new_out[last]
+    return used, diff + int(walk[used - 1])
 
 
 # ----- file formats and named-family specs ---------------------------------

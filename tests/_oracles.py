@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: components come from
 a boolean-matrix reachability closure or from forward and backward BFS,
 configuration-model probabilities from explicit enumeration of all m! stub
 matchings or from the exact rational closed form, graphicality from
-exhaustive search over all simple digraphs on labeled vertices, and
-generating functions from direct summation.  The remaining helpers view a
+exhaustive search over all simple digraphs on labeled vertices or from one
+Fulkerson-Chen-Anstee inequality at a time, degree-sum repair from one
+redraw at a time, and generating functions from direct summation.  The remaining helpers view a
 degree distribution as a ``{(j, k): p}`` dict, compare two of them, or write
 a distribution or a sequence out.
 """
@@ -107,6 +108,37 @@ def simple_digraph_profiles(n):
                 ins[v] += 1
         profiles.add(tuple(zip(ins, outs)))
     return profiles
+
+
+def fulkerson_chen_anstee_loop(in_degrees, out_degrees):
+    """Graphicality by evaluating each Fulkerson-Chen-Anstee inequality k <= d_max + 1
+    in turn on the sequence sorted in nonincreasing (in, out) order."""
+    pairs = sorted(zip(in_degrees, out_degrees), reverse=True)
+    n = len(pairs)
+    d_max = max((max(p) for p in pairs), default=0)
+    if d_max >= n > 0:
+        return False
+    for k in range(1, min(n, d_max + 1) + 1):
+        lhs = sum(a for a, _ in pairs[:k])
+        rhs = sum(min(b, k - 1) for _, b in pairs[:k]) + sum(min(b, k) for _, b in pairs[k:])
+        if lhs > rhs:
+            return False
+    return True
+
+
+def replay_redraws(ins, outs, diff, vertices, new_in, new_out):
+    """Degree-sum repair one redraw at a time: vertex ``vertices[t]`` takes the pair
+    ``(new_in[t], new_out[t])`` until the imbalance ``diff`` (in-sum minus
+    out-sum) is 0.  Updates ``ins`` and ``outs`` in place; returns the number
+    of redraws used and the imbalance left.
+    """
+    for t, v in enumerate(vertices.tolist()):
+        diff += int(new_in[t] - new_out[t]) - int(ins[v] - outs[v])
+        ins[v] = new_in[t]
+        outs[v] = new_out[t]
+        if diff == 0:
+            return t + 1, 0
+    return len(vertices), diff
 
 
 def valid_sequences(n, deg_max, m_max=None):

@@ -1,3 +1,4 @@
+import functools
 import re
 from collections import Counter
 
@@ -16,6 +17,7 @@ from dipercolate import (
     read_sequence,
     realize_sequence,
 )
+from dipercolate import degrees
 from dipercolate.degrees import MAX_KEY_WIDTH, exact_sum, require_valid
 from dipercolate.errors import (
     DistributionFormatError,
@@ -138,6 +140,38 @@ def test_graphical_permutation_invariant(pairs, rand):
     shuffled = list(pairs)
     rand.shuffle(shuffled)
     assert is_graphical(seq) == is_graphical(DegreeSequence(shuffled))
+
+
+@st.composite
+def balanced_pairs(draw, max_n, max_degree):
+    """A balanced sequence: out-degrees a permutation of the in-degrees, then a few
+    units moved between vertices, so equal in- and out-degrees are common."""
+    n = draw(st.integers(1, max_n))
+    ins = draw(st.lists(st.integers(0, max_degree), min_size=n, max_size=n))
+    outs = draw(st.permutations(ins))
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if outs[u] > 0 and outs[v] < max_degree:
+            outs[u] -= 1
+            outs[v] += 1
+    return list(zip(ins, outs))
+
+
+simple_digraph_profiles = functools.cache(_oracles.simple_digraph_profiles)
+
+
+@given(balanced_pairs(max_n=5, max_degree=4))
+@settings(max_examples=300, deadline=None)
+def test_graphical_matches_bruteforce_with_ties(pairs):
+    # n = 5 reaches sequences whose d_max + 1 is below n, beyond c10's grid
+    realizable = simple_digraph_profiles(len(pairs))
+    assert is_graphical(DegreeSequence(pairs)) == (tuple(pairs) in realizable)
+
+
+@given(balanced_pairs(max_n=40, max_degree=12))
+@settings(max_examples=300, deadline=None)
+def test_graphical_matches_inequality_loop(pairs):
+    ins, outs = zip(*pairs)
+    assert is_graphical(DegreeSequence(pairs)) == _oracles.fulkerson_chen_anstee_loop(ins, outs)
 
 
 # ----- empirical distribution -------------------------------------------------
@@ -315,6 +349,80 @@ def test_realize_repair_budget_when_lattice_allows():
     dist = DegreeDistribution({(4, 0): 1 / 3, (0, 1): 1 / 3, (0, 3): 1 / 3})
     with pytest.raises(RepairFailedError, match="redraws"):
         realize_sequence(dist, 1, rng_for(0))
+
+
+def test_batched_repair_matches_scalar_chain():
+    rng = np.random.default_rng(13)
+    seen = Counter()
+    for case in range(400):
+        n = int(rng.integers(1, 31))
+        size = int(rng.integers(1, 61))
+        ins, outs = rng.integers(0, 5, n), rng.integers(0, 5, n)
+        vertices = rng.integers(0, n, size)
+        new_in, new_out = rng.integers(0, 5, size), rng.integers(0, 5, size)
+        if case % 4 == 1:  # stop at the first redraw
+            diff = int(ins[vertices[0]] - outs[vertices[0]] - new_in[0] + new_out[0])
+        elif case % 4 == 2:  # stop at the last: no earlier partial sum reaches 1000
+            new_in[-1] = 1000
+            far = 10**9  # an imbalance no partial sum cancels, to total the walk
+            _, left = _oracles.replay_redraws(ins.copy(), outs.copy(), far, vertices, new_in, new_out)
+            diff = far - left
+        else:
+            diff = int(rng.integers(-8, 9))
+        expect_in, expect_out = ins.copy(), outs.copy()
+        expected = _oracles.replay_redraws(expect_in, expect_out, diff, vertices, new_in, new_out)
+        assert degrees._replay_redraws(ins, outs, diff, vertices, new_in, new_out) == expected
+        np.testing.assert_array_equal(ins, expect_in)
+        np.testing.assert_array_equal(outs, expect_out)
+        used = expected[0]
+        seen["first"] += used == 1 and expected[1] == 0
+        seen["last"] += used == size > 1 and expected[1] == 0
+        seen["none"] += expected[1] != 0
+        seen["repeat"] += len(set(vertices[:used].tolist())) < used
+    assert min(seen.values()) >= 50, seen
+
+
+def _spy_on_repair(monkeypatch):
+    """Record each batch of redraws realize_sequence replays."""
+    batches = []
+    replay = degrees._replay_redraws
+
+    def spy(ins, outs, diff, vertices, new_in, new_out):
+        batches.append((vertices.copy(), new_in.copy(), new_out.copy()))
+        return replay(ins, outs, diff, vertices, new_in, new_out)
+
+    monkeypatch.setattr(degrees, "_replay_redraws", spy)
+    return batches
+
+
+def test_realize_replays_scalar_chain_across_batches(monkeypatch):
+    monkeypatch.setattr(degrees, "_REPAIR_BATCH", 8)
+    batches = _spy_on_repair(monkeypatch)
+    dist = DegreeDistribution.poisson(1.3)
+    multi = 0
+    for seed in range(30):
+        batches.clear()
+        seq = realize_sequence(dist, 30, rng_for(seed))
+        ins, outs = dist.sample_pairs(30, rng_for(seed))  # the iid draw before repair
+        if batches:
+            vertices, new_in, new_out = (np.concatenate(parts) for parts in zip(*batches))
+            diff = int(ins.sum() - outs.sum())
+            used, left = _oracles.replay_redraws(ins, outs, diff, vertices, new_in, new_out)
+            # the scalar chain balances inside the last batch, as realize_sequence did
+            assert left == 0 and used > len(vertices) - len(batches[-1][0])
+        assert seq == DegreeSequence.from_arrays(ins, outs)
+        multi += len(batches) > 1
+    assert multi >= 5
+
+
+def test_realize_budget_runs_out_partway_through_a_batch(monkeypatch):
+    monkeypatch.setattr(degrees, "_REPAIR_BATCH", 8)
+    monkeypatch.setattr(degrees, "MAX_REDRAWS_PER_VERTEX", 20)
+    batches = _spy_on_repair(monkeypatch)
+    dist = DegreeDistribution({(4, 0): 1 / 3, (0, 1): 1 / 3, (0, 3): 1 / 3})
+    with pytest.raises(RepairFailedError, match="after 20 redraws"):
+        realize_sequence(dist, 1, rng_for(0))
+    assert [len(vertices) for vertices, _, _ in batches] == [8, 8, 4]
 
 
 def test_lattice_is_computed_once(monkeypatch):
