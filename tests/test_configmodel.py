@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import inspect
 import io
 import itertools
@@ -262,6 +263,48 @@ def test_sample_simple_stream_unchanged_without_switching():
         assert g.dst.tolist() == [0, 1, 2]
         got.append("".join(map(str, g.src.tolist())) + f":{attempts}")
     assert " ".join(got) == GOLDEN_THREE_CYCLES
+
+
+def _src_digest(src):
+    return hashlib.sha256(src.astype("<i8").tobytes()).hexdigest()[:16]
+
+
+# sample_simple on sequences where both switchings run: for each family, the
+# digest of the sequence realized at n = 2e4 (seed 1), then the digest of
+# g.src and the draw count for seeds 0-4.  poisson:3 has about 4.5 doubles
+# per draw; geometric:0.3 has b-rejections and redraws.
+GOLDEN_SWITCHED = {
+    "poisson:3": ("b9f38f97130a32eb", "ccce068c2b7a718c:1 90175dcf0bfbaa0a:1 "
+                  "d55223915bf0bcca:1 fdf767273582518f:1 2d198b30843d30b4:3"),
+    "geometric:0.3": ("7f4d4775dffeebd6", "a634cafd52108709:11 7da80cf318531c44:15 "
+                      "6dda0dd4fb965ae3:29 4edbc40cff8f265a:4 18bab86a35bb4a7a:8"),
+}
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SWITCHED)
+def test_sample_simple_switched_stream_is_pinned(spec):
+    dist = degrees.distribution_from_spec(spec)
+    seq = degrees.realize_sequence(dist, 20_000, rng_for(1))
+    seq_digest = _src_digest(np.concatenate([seq.in_degrees, seq.out_degrees]))
+    stubs = configmodel._stubs(seq)
+    assert stubs.max_loops > 0 and stubs.max_doubles > 0
+    got = []
+    for seed in range(5):
+        g, draws = sample_simple(seq, rng_for(seed))
+        got.append(f"{_src_digest(g.src)}:{draws}")
+    assert (seq_digest, " ".join(got)) == GOLDEN_SWITCHED[spec]
+
+
+def test_sample_simple_switched_stream_on_nine_2_2_vertices():
+    # 300 graphs from one generator, where max_loops and max_doubles are 9 and 2
+    seq = DegreeSequence([(2, 2)] * 9)
+    rng = rng_for(4)
+    h, draws = hashlib.sha256(), 0
+    for _ in range(300):
+        g, attempts = sample_simple(seq, rng)
+        h.update(g.src.astype("<i8").tobytes())
+        draws += attempts
+    assert (h.hexdigest()[:16], draws) == ("dd36f499ced04a51", 1179)
 
 
 def test_sample_simple_uniform_with_switching():
