@@ -20,15 +20,18 @@ generation of random graphs with given degree sequences", FOCS 2019).  Every
 loop step maps the uniform law on matchings with k loops to the uniform law on
 those with k - 1, and every double step does the same for loop-free matchings
 without triple edges and with k doubles, so the simple result is uniform.
-Only draws with an edge repeated three times, more loops than ``max_loops``
-or more doubles than ``max_doubles`` (the largest counts whose bounds the
-sequence's degrees prove), or a rejected switching are redrawn.
+One driver runs both kinds, and one rule gives both caps ``max_loops`` and
+``max_doubles``: the largest counts whose switchings keep the closed-form
+minima of the backward counts positive.  Only draws with an edge repeated
+three times, more loops or doubles than their cap, or a rejected switching
+are redrawn.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -38,6 +41,7 @@ from .degrees import (
     DegreeDistribution,
     DegreeSequence,
     exact_sum,
+    int_arrays,
     is_graphical,
     read_rows,
     require_valid,
@@ -63,18 +67,15 @@ __all__ = [
 class Digraph:
     """Immutable digraph: ``n`` vertices, parallel ``src``/``dst`` edge arrays.
 
-    The constructor copies ``src`` and ``dst`` and checks that every endpoint
-    lies in [0, n).  Self-loops and parallel edges are representable;
-    ``simple`` is computed lazily and cached.
+    The constructor copies ``src`` and ``dst`` and checks that ``n`` and the
+    endpoints are integers and every endpoint lies in [0, n).  Self-loops and
+    parallel edges are representable; ``simple`` is computed lazily and cached.
     """
 
     def __init__(self, n: int, src, dst):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        src = np.array(src, dtype=np.int64)
-        dst = np.array(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
-            raise ValueError("src and dst must be 1-d arrays of equal length")
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        src, dst = int_arrays(src, dst, "src and dst")
         if src.size and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise ValueError("edge endpoints must lie in [0, n)")
         self._init_arrays(n, src, dst)
@@ -132,8 +133,8 @@ class _Stubs:
     Slot j pairs in-stub j, owned by ``in_owner[j]`` (canonical vertex order,
     so vertex w owns slots ``in_start[w]:in_start[w + 1]``), with an out-stub
     of the vertex a matching puts at ``src[j]``.  ``max_loops`` and
-    ``max_doubles`` are the largest loop and double counts whose switchings
-    keep both backward bounds positive; the bounds are Python ints.
+    ``max_doubles`` are the caps :func:`_cap` derives from ``bounds`` and
+    ``double_bounds``; the bounds are Python ints.
     """
 
     def __init__(self, seq: DegreeSequence):
@@ -148,27 +149,16 @@ class _Stubs:
         self.d_out = d_out = seq.out_degrees
         self.m = m = seq.m
         self.m11 = m11 = exact_sum(d_in, d_out)
-        self.span = span = int((d_in + d_out).max()) if seq.n else 0
+        self.span = int((d_in + d_out).max()) if seq.n else 0
         self.d_max = seq.d_max
-        # T1 * N3 <= m11 * m must fit the int64 acceptance draw
-        if span and m11 * m <= INT64_MAX:
-            self.max_loops = max(0, min((m11 - 1) // span, m - 3 - 2 * self.d_max) + 1)
-        else:
-            self.max_loops = 0
         # ordered pairs of distinct out-stubs (in-stubs) of one vertex: sum d(d - 1)
         self.m2_out = exact_sum(d_out, d_out) - m
         self.m2_in = exact_sum(d_in, d_in) - m
         self.top_in = int(d_in.max()) if seq.n else 0
         self.top_out = int(d_out.max()) if seq.n else 0
-        a_min, b_min = self.double_bounds(0)
-        # A * B <= m2_out * m2_in must fit the int64 acceptance draw; a
-        # positive bound implies top_out >= 2 and top_in >= 2
-        if a_min > 0 and b_min > 0 and self.m2_out * self.m2_in <= INT64_MAX:
-            self.max_doubles = 1 + min(
-                (a_min - 1) // (4 * self.top_out - 6), (b_min - 1) // (4 * self.top_in - 6)
-            )
-        else:
-            self.max_doubles = 0
+        # T1 <= m11 and N3 <= m; A <= m2_out and B <= m2_in
+        self.max_loops = _cap(self.bounds, m11 * m)
+        self.max_doubles = _cap(self.double_bounds, self.m2_out * self.m2_in)
 
     def bounds(self, j: int) -> tuple[int, int]:
         """(T1_min, N3_min) over every matching with j loops."""
@@ -190,12 +180,48 @@ class _Stubs:
         )
 
 
+def _cap(bounds, draw_range: int) -> int:
+    """Largest defect count k with both minima of ``bounds(k - 1)`` positive
+    (they fall linearly in k), or 0 when ``draw_range``, the largest product
+    of the two backward counts, does not fit the int64 acceptance draw."""
+    start, next_ = bounds(0), bounds(1)
+    if min(start) <= 0 or draw_range > INT64_MAX:
+        return 0
+    return 1 + min((b - 1) // (b - c) for b, c in zip(start, next_))
+
+
 def _stubs(seq: DegreeSequence) -> _Stubs:
     # cached on the sequence: repeated sampling from one sequence is common
     cached = getattr(seq, "_stubs", None)
     if cached is None:
         cached = seq._stubs = _Stubs(seq)
     return cached
+
+
+def _switch_out(kind, stubs: _Stubs, src: np.ndarray, found: np.ndarray, rng) -> bool:
+    """Switch every defect in ``found`` out of ``src`` in place; False when
+    the draw is rejected.  A step picks an ordering i (``kind.orderings`` per
+    defect) of a uniform defect and uniform slots q, s; ``switch(i, q, s)``
+    applies it and returns the second backward count, or None to f-reject.
+    The step is kept with probability ``(first_min / first) (second_min /
+    second)``, the minima (and the cap) named by ``kind.limits``."""
+    cap, minima = kind.limits(stubs)
+    if found.size > cap:
+        return False
+    state = kind(stubs, src, found)
+    defects = state.defects
+    while defects:
+        i = int(rng.integers(kind.orderings * len(defects)))
+        q, s = rng.integers(stubs.m, size=2).tolist()
+        second = state.switch(i, q, s)
+        if second is None:
+            return False
+        defects[i // kind.orderings] = defects[-1]
+        defects.pop()
+        first_min, second_min = minima(len(defects))
+        if rng.integers(state.first * second) >= first_min * second_min:
+            return False
+    return True
 
 
 class _LoopRemoval:
@@ -216,13 +242,16 @@ class _LoopRemoval:
     so a uniform matching with k loops becomes a uniform one with k - 1.
     """
 
+    orderings = 1
+    limits = operator.attrgetter("max_loops", "bounds")
+
     def __init__(self, stubs: _Stubs, src: np.ndarray, loop_slots: np.ndarray):
         self.stubs = stubs
         self.src = src
-        self.loops = loop_slots.tolist()
+        self.defects = loop_slots.tolist()  # first: T1
         self.loops_at = Counter(stubs.in_owner[loop_slots].tolist())
         # T1 = sum_w nlo(w) nli(w), with nlo/nli the out/in stubs of w not in loops
-        self.t1 = stubs.m11 - sum(
+        self.first = stubs.m11 - sum(
             c * int(stubs.d_in[w] + stubs.d_out[w]) - c * c for w, c in self.loops_at.items()
         )
 
@@ -233,47 +262,25 @@ class _LoopRemoval:
         return int(self.stubs.d_in[w]) - self.loops_at.get(w, 0)
 
     def switch(self, i: int, q: int, s: int) -> int | None:
-        """Switch loop ``loops[i]`` with slots q and s; return N3, or None to f-reject.
-
-        On f-rejection nothing changes.
-        """
+        """Switch loop ``defects[i]`` with slots q and s; return N3, or None to f-reject."""
         src, in_owner = self.src, self.stubs.in_owner
-        y = self.loops[i]
+        y = self.defects[i]
         v = int(in_owner[y])
         a1, b1 = int(src[q]), int(in_owner[q])
         a2, b2 = int(src[s]), int(in_owner[s])
         if q == s or a1 == b1 or a2 == b2 or b1 == v or a2 == v or a1 == b2:
             return None
         src[q], src[s], src[y] = v, a1, a2
-        self.t1 += self._nlo(v) + self._nli(v) + 1
+        self.first += self._nlo(v) + self._nli(v) + 1
         self.loops_at[v] -= 1
-        self.loops[i] = self.loops[-1]
-        self.loops.pop()
         # N3: non-loop slots s' other than y and q with src[s'] != b1 and
-        # in_owner[s'] != a2 (a pair b1 -> a2 is a loop when b1 == a2)
-        n3 = self.stubs.m - len(self.loops) - self._nlo(b1) - self._nli(a2)
+        # in_owner[s'] != a2 (a pair b1 -> a2 is a loop when b1 == a2); y
+        # leaves defects only after the switch
+        n3 = self.stubs.m + 1 - len(self.defects) - self._nlo(b1) - self._nli(a2)
         if b1 != a2:
             lo, hi = self.stubs.in_start[a2], self.stubs.in_start[a2 + 1]
             n3 += int(np.count_nonzero(src[lo:hi] == b1)) - 2
         return n3
-
-
-def _remove_loops(stubs: _Stubs, src: np.ndarray, is_loop: np.ndarray, rng) -> bool:
-    """Switch every loop out of ``src`` in place; False when the draw is rejected."""
-    slots = np.flatnonzero(is_loop)
-    if slots.size > stubs.max_loops:
-        return False
-    state = _LoopRemoval(stubs, src, slots)
-    while state.loops:
-        i = int(rng.integers(len(state.loops)))
-        q, s = rng.integers(stubs.m, size=2).tolist()
-        n3 = state.switch(i, q, s)
-        if n3 is None:
-            return False
-        t1_min, n3_min = stubs.bounds(len(state.loops))
-        if rng.integers(state.t1 * n3) >= t1_min * n3_min:
-            return False
-    return True
 
 
 def _lost_pairs(d: int, c: int) -> int:
@@ -300,18 +307,21 @@ class _DoubleRemoval:
     ``(A_min / A) (B_min / B)`` gives every result the same probability.
     """
 
+    orderings = 2
+    limits = operator.attrgetter("max_doubles", "double_bounds")
+
     def __init__(self, stubs: _Stubs, src: np.ndarray, keys: np.ndarray):
         self.stubs = stubs
         self.src = src
-        self.doubles = []  # (y1, y2) slot pairs
+        self.defects = []  # (y1, y2) slot pairs; first: A
         for key in keys.tolist():
             a, b = divmod(key, stubs.n)
             lo, hi = stubs.in_start[b], stubs.in_start[b + 1]
-            self.doubles.append(tuple((lo + np.flatnonzero(src[lo:hi] == a)).tolist()))
-        self.paired = {y for pair in self.doubles for y in pair}
-        self.doubles_from = Counter(int(src[y]) for y, _ in self.doubles)
-        self.doubles_into = Counter(int(stubs.in_owner[y]) for y, _ in self.doubles)
-        self.a = stubs.m2_out - sum(
+            self.defects.append(tuple((lo + np.flatnonzero(src[lo:hi] == a)).tolist()))
+        self.paired = {y for pair in self.defects for y in pair}
+        self.doubles_from = Counter(int(src[y]) for y, _ in self.defects)
+        self.doubles_into = Counter(int(stubs.in_owner[y]) for y, _ in self.defects)
+        self.first = stubs.m2_out - sum(
             _lost_pairs(int(stubs.d_out[v]), c) for v, c in self.doubles_from.items()
         )
         self.s2 = stubs.m2_in - sum(  # ordered pairs of single in-slots of one vertex
@@ -326,13 +336,10 @@ class _DoubleRemoval:
         return int(self.stubs.d_in[v]) - 2 * self.doubles_into.get(v, 0)
 
     def switch(self, i: int, q: int, s: int) -> int | None:
-        """Switch double ``doubles[i // 2]``, its slots swapped when i is odd,
-        with slots q and s; return B, or None to f-reject.
-
-        On f-rejection nothing changes.
-        """
+        """Switch double ``defects[i // 2]``, its slots swapped when i is odd,
+        with slots q and s; return B, or None to f-reject."""
         src, in_owner = self.src, self.stubs.in_owner
-        y1, y2 = self.doubles[i // 2]
+        y1, y2 = self.defects[i // 2]
         if i % 2:
             y1, y2 = y2, y1
         a, b = int(src[y1]), int(in_owner[y1])
@@ -355,13 +362,11 @@ class _DoubleRemoval:
         src[y1], src[y2], src[q], src[s] = a1, a2, a, a
         # one double fewer at a vertex with e single stubs adds
         # (e + 2)(e + 1) - e(e - 1) = 4e + 2 ordered pairs of single stubs
-        self.a += 4 * (int(self.stubs.d_out[a]) - 2 * self.doubles_from[a]) + 2
+        self.first += 4 * (int(self.stubs.d_out[a]) - 2 * self.doubles_from[a]) + 2
         self.s2 += 4 * self._single_in(b) + 2
         self.doubles_from[a] -= 1
         self.doubles_into[b] -= 1
         self.paired -= {y1, y2}
-        self.doubles[i // 2] = self.doubles[-1]
-        self.doubles.pop()
         return self._stage_b(a, b1, b2)
 
     def _stage_b(self, a: int, b1: int, b2: int) -> int:
@@ -394,24 +399,6 @@ class _DoubleRemoval:
         return count
 
 
-def _remove_doubles(stubs: _Stubs, src: np.ndarray, keys: np.ndarray, rng) -> bool:
-    """Switch every double (a key of ``keys``) out of ``src`` in place; False
-    when the draw is rejected."""
-    if keys.size > stubs.max_doubles:
-        return False
-    state = _DoubleRemoval(stubs, src, keys)
-    while state.doubles:
-        i = int(rng.integers(2 * len(state.doubles)))
-        q, s = rng.integers(stubs.m, size=2).tolist()
-        b = state.switch(i, q, s)
-        if b is None:
-            return False
-        a_min, b_min = stubs.double_bounds(len(state.doubles))
-        if rng.integers(state.a * b) >= a_min * b_min:
-            return False
-    return True
-
-
 def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digraph:
     """Sample the multigraph induced by a uniform perfect stub matching.
 
@@ -422,6 +409,7 @@ def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digra
     require_valid(seq)
     stubs = _stubs(seq)
     out_owner = stubs.out_owner
+    # numpy would shuffle an empty input in place, and out_owner is read-only
     src = rng.permutation(out_owner) if out_owner.size else out_owner
     return Digraph._from_arrays(seq.n, src, stubs.in_owner)
 
@@ -455,13 +443,11 @@ def sample_simple(
     in_owner, out_owner = stubs.in_owner, stubs.out_owner
     for attempt in range(1, max_attempts + 1):
         src = rng.permutation(out_owner) if out_owner.size else out_owner
-        is_loop = src == in_owner
-        if is_loop.any() and not (stubs.max_loops and _remove_loops(stubs, src, is_loop, rng)):
+        loops = np.flatnonzero(src == in_owner)
+        if loops.size and not _switch_out(_LoopRemoval, stubs, src, loops, rng):
             continue
         keys, triple = _repeated_edges(src, in_owner, n)
-        if not keys.size or (
-            stubs.max_doubles and not triple and _remove_doubles(stubs, src, keys, rng)
-        ):
+        if not keys.size or (not triple and _switch_out(_DoubleRemoval, stubs, src, keys, rng)):
             return Digraph._from_arrays(n, src, in_owner), attempt
     raise AttemptsExhaustedError(max_attempts)
 
@@ -524,8 +510,10 @@ def read_edge_list(path) -> Digraph:
 
     Files without a header are accepted with n inferred as max vertex id + 1.
     A header `n=` or `m=` that is not an integer, an `m=` other than the
-    number of edges read, or an edge line that is not two integers (a
-    trailing ``#`` comment is allowed) raises :class:`DistributionFormatError`.
+    number of edges read, an `n=` that is negative or not above every
+    endpoint, a negative endpoint, or an edge line that is not two integers
+    (a trailing ``#`` comment is allowed) raises
+    :class:`DistributionFormatError`.
     """
     edges = read_rows(path, _EDGE_ROWS)
     header = _header_counts(path)
@@ -536,7 +524,10 @@ def read_edge_list(path) -> Digraph:
     n = header.get("n")
     if n is None:
         n = int(max(src.max(), dst.max())) + 1 if m else 0
-    return Digraph(n, src, dst)
+    try:
+        return Digraph(n, src, dst)
+    except ValueError as exc:
+        raise DistributionFormatError(f"{path}: {exc}") from exc
 
 
 def _header_counts(path) -> dict[str, int]:

@@ -82,6 +82,18 @@ def exact_sum(*factors: np.ndarray) -> int:
     return int(functools.reduce(operator.mul, factors).sum())
 
 
+def int_arrays(first, second, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 copies of two 1-d integer arrays of equal length; ValueError
+    otherwise (an empty input of any dtype passes)."""
+    pair = np.array(first), np.array(second)
+    for arr in pair:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+        if arr.ndim != 1 or arr.shape != pair[0].shape:
+            raise ValueError(f"{what} must be 1-d arrays of equal length")
+    return tuple(arr.astype(np.int64, copy=False) for arr in pair)
+
+
 class DegreeSequence:
     """Immutable per-vertex (in-degree, out-degree) pairs.
 
@@ -96,7 +108,7 @@ class DegreeSequence:
     """
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
-        arr = np.asarray(list(pairs), dtype=np.int64)
+        arr = np.asarray(list(pairs))
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -105,10 +117,7 @@ class DegreeSequence:
 
     def _init_arrays(self, in_degrees, out_degrees):
         """Copy, check and store the degree arrays."""
-        in_degrees = np.array(in_degrees, dtype=np.int64)
-        out_degrees = np.array(out_degrees, dtype=np.int64)
-        if in_degrees.shape != out_degrees.shape or in_degrees.ndim != 1:
-            raise ValueError("in/out arrays must be 1-d of equal length")
+        in_degrees, out_degrees = int_arrays(in_degrees, out_degrees, "in/out degrees")
         if in_degrees.size and min(in_degrees.min(), out_degrees.min()) < 0:
             raise ValueError("degrees must be nonnegative")
         in_degrees.setflags(write=False)
@@ -285,7 +294,6 @@ class DegreeDistribution:
                 f"mean in-degree {mu10!r} != mean out-degree {mu01!r}; "
                 "a balanced table is required"
             )
-        self._cum = None
 
     @property
     def mu(self) -> float:
@@ -305,6 +313,12 @@ class DegreeDistribution:
         return self.moments[(0, 2)]
 
     @functools.cached_property
+    def _cum(self) -> np.ndarray:
+        cum = np.cumsum(self.ps)
+        cum[-1] = 1.0
+        return cum
+
+    @functools.cached_property
     def _lattice(self) -> tuple[int, int]:
         """(d0, g): every d = j - k on the support is d0 modulo g = gcd(d - d0)."""
         d = self.js - self.ks
@@ -320,15 +334,8 @@ class DegreeDistribution:
 
     def sample_pairs(self, count: int, rng: np.random.Generator):
         """Draw ``count`` iid (in, out) pairs; returns (in_array, out_array)."""
-        idx = self._draw_indices(count, rng)
+        idx = np.searchsorted(self._cum, rng.random(count), side="right")
         return self.js[idx], self.ks[idx]
-
-    def _draw_indices(self, count, rng):
-        if self._cum is None:
-            cum = np.cumsum(self.ps)
-            cum[-1] = 1.0
-            self._cum = cum
-        return np.searchsorted(self._cum, rng.random(count), side="right")
 
     def __repr__(self) -> str:
         return (
@@ -542,8 +549,7 @@ def realize_sequence(
             )
         size = min(_REPAIR_BATCH, budget - redraws)
         vertices = rng.integers(n, size=size)
-        idx = dist._draw_indices(size, rng)
-        used, diff = _replay_redraws(ins, outs, diff, vertices, dist.js[idx], dist.ks[idx])
+        used, diff = _replay_redraws(ins, outs, diff, vertices, *dist.sample_pairs(size, rng))
         redraws += used
     return DegreeSequence.from_arrays(ins, outs)
 

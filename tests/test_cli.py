@@ -54,6 +54,15 @@ def test_unreadable_file_runtime_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("header", ["# n=2 m=1", "# n=-3 m=1"])
+def test_edge_list_header_n_error_names_the_file(tmp_path, capsys, header):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"{header}\n0 5\n")
+    code, _, err = run_cli(capsys, "scc", "--graph", str(graph))
+    assert code == 2
+    assert f"error: {graph}: " in err
+
+
 def test_bad_pi_runtime_error(tmp_path, capsys):
     graph = write_two_cycle(tmp_path)
     code, _, err = run_cli(

@@ -70,6 +70,14 @@ def test_digraph_copies_and_checks_input():
             Digraph(3, [1, 2], bad)
 
 
+def test_digraph_rejects_non_integer_input():
+    for n, src, dst in ((2.9, [0], [1]), ("2", [0], [1]), (2, [0.7], [1]), (2, [0], np.array([1.0]))):
+        with pytest.raises(ValueError, match="integer"):
+            Digraph(n, src, dst)
+    assert Digraph(np.int64(2), np.array([0], dtype=np.int32), [1]).edges == [(0, 1)]
+    assert Digraph(0, [], []).m == 0
+
+
 @pytest.mark.parametrize(
     "n,src,dst,simple",
     [
@@ -353,21 +361,21 @@ def _loop_kernel(stubs, layers):
         for arr in layers[k]:
             src = np.array(arr, dtype=np.int64)
             start = configmodel._LoopRemoval(stubs, src, np.flatnonzero(src == stubs.in_owner))
-            assert start.t1 == _inverse_pairs(arr, in_owner)
+            assert start.first == _inverse_pairs(arr, in_owner)
             moves = kernel[arr] = []
             for i, q, s in itertools.product(range(k), range(m), range(m)):
                 state = copy.copy(start)
-                state.src, state.loops, state.loops_at = src.copy(), list(start.loops), start.loops_at.copy()
-                y = start.loops[i]
+                state.src, state.defects, state.loops_at = src.copy(), list(start.defects), start.loops_at.copy()
+                y = start.defects[i]
                 n3 = state.switch(i, q, s)
                 if n3 is None:
                     assert np.array_equal(state.src, src)
                     continue
                 out = tuple(state.src.tolist())
                 assert sum(a == b for a, b in zip(out, in_owner)) == k - 1
-                assert state.t1 == _inverse_pairs(out, in_owner) >= t1_min
+                assert state.first == _inverse_pairs(out, in_owner) >= t1_min
                 assert n3 == _preimage_count(out, in_owner, y, q) >= n3_min
-                moves.append((out, Fraction(t1_min * n3_min, state.t1 * n3 * k * m * m)))
+                moves.append((out, Fraction(t1_min * n3_min, state.first * n3 * k * m * m)))
     return kernel
 
 
@@ -448,12 +456,12 @@ def _double_kernel(stubs, classes, top):
     for d in range(1, top + 1):
         for arr in classes[d]:
             start = _double_state(stubs, arr)
-            assert start.a == _single_out_pairs(arr, in_owner)
+            assert start.first == _single_out_pairs(arr, in_owner)
             moves = kernel[arr] = []
             for i, q, s in itertools.product(range(2 * d), range(m), range(m)):
                 state = copy.copy(start)
                 state.src, state.paired = start.src.copy(), set(start.paired)
-                state.doubles = list(start.doubles)
+                state.defects = list(start.defects)
                 state.doubles_from = start.doubles_from.copy()
                 state.doubles_into = start.doubles_into.copy()
                 b = state.switch(i, q, s)
@@ -463,8 +471,8 @@ def _double_kernel(stubs, classes, top):
                 out = tuple(state.src.tolist())
                 assert out[q] == out[s] and _double_count(out, in_owner) == d - 1
                 assert not any(a == b for a, b in zip(out, in_owner))
-                assert state.a == _single_out_pairs(out, in_owner)
-                moves.append((out, q, s, state.a, b))
+                assert state.first == _single_out_pairs(out, in_owner)
+                moves.append((out, q, s, state.first, b))
                 into[out, q, s] += 1
     for moves in kernel.values():
         for out, q, s, _, b in moves:
@@ -473,7 +481,7 @@ def _double_kernel(stubs, classes, top):
     for d in range(top):
         for arr in classes[d]:
             state = _double_state(stubs, arr)
-            a_min[d] = min(a_min.get(d, state.a), state.a)
+            a_min[d] = min(a_min.get(d, state.first), state.first)
             for q, s in itertools.permutations(range(m), 2):
                 if arr[q] == arr[s] and not state.paired & {q, s}:
                     b = state._stage_b(arr[q], in_owner[q], in_owner[s])
@@ -621,7 +629,7 @@ def test_double_bounds_hold_on_random_matchings():
         seen[keys.size] += 1
         state = configmodel._DoubleRemoval(stubs, src, keys)
         a_min, b_min = stubs.double_bounds(keys.size)
-        assert state.a >= a_min
+        assert state.first >= a_min
         arr = src.tolist()
         for q, s in itertools.permutations(range(stubs.m), 2):
             if arr[q] == arr[s] and not state.paired & {q, s}:
@@ -721,6 +729,22 @@ def test_edge_list_header_counts_must_be_integers(tmp_path, header):
     with pytest.raises(DistributionFormatError) as info:
         read_edge_list(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# n=2 m=1\n0 5\n", r"\[0, n\)"),  # n not above every endpoint
+        ("# n=-1 m=0\n", "n must be a nonnegative integer"),
+        ("0 -1\n", r"\[0, n\)"),  # no header: a negative endpoint
+    ],
+)
+def test_edge_list_vertex_range_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "range.txt"
+    path.write_text(text)
+    with pytest.raises(DistributionFormatError, match=message) as info:
+        read_edge_list(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def per_line_edge_list(n, edges, seed):

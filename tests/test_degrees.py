@@ -103,6 +103,18 @@ def test_sequence_from_arrays_copies_and_checks():
         DegreeSequence.from_arrays([1], [0, 1])
 
 
+def test_sequence_rejects_non_integer_degrees():
+    with pytest.raises(ValueError, match="integers"):
+        DegreeSequence([(1.5, 1)])
+    for ins, outs in (([1.0, 0], [0, 1]), ([1, 0], np.array([0.5, 1])), ([True], [True])):
+        with pytest.raises(ValueError, match="integers"):
+            DegreeSequence.from_arrays(ins, outs)
+    # empty input of any dtype, and integer numpy scalars, still pass
+    assert DegreeSequence([]).n == DegreeSequence.from_arrays([], []).n == 0
+    seq = DegreeSequence([(np.int32(2), np.uint8(1)), (0, 1)])
+    assert seq.in_degrees.dtype == np.int64 and seq.in_degrees.tolist() == [2, 0]
+
+
 # ----- is_graphical ----------------------------------------------------------
 
 
