@@ -181,9 +181,11 @@ class _Stubs:
 
 
 def _cap(bounds, draw_range: int) -> int:
-    """Largest defect count k with both minima of ``bounds(k - 1)`` positive
-    (they fall linearly in k), or 0 when ``draw_range``, the largest product
-    of the two backward counts, does not fit the int64 acceptance draw."""
+    """Largest defect count k with both minima of ``bounds(k - 1)`` positive,
+    or 0 when ``draw_range``, the largest product of the two backward counts,
+    does not fit the int64 acceptance draw.  Both minima fall linearly in k,
+    by a positive step once they start positive (for doubles, a positive
+    bound implies top_out >= 2 and top_in >= 2)."""
     start, next_ = bounds(0), bounds(1)
     if min(start) <= 0 or draw_range > INT64_MAX:
         return 0
