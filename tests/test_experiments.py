@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -342,6 +343,31 @@ def test_csv_format_and_determinism(tmp_path):
         means.setdefault(float(fields[0]), []).append(float(fields[8]))
     for row in summary:
         assert row["mean"] == pytest.approx(np.mean(means[row["pi"]]), abs=1e-15)
+
+
+# sha256 prefixes of the CSV and summary JSON bytes of two small runs.  A change
+# that alters the random streams or the tables on purpose must retake them.
+GOLDEN_RUNS = {
+    "poisson-site": ("2484b8b4d8907677", "b93b14bf735f4229"),
+    "reversed-file-bond": ("472f3a5399ffff23", "b8dabb1b50a804bb"),
+}
+# the (j, k, p) rows of a small table, in decreasing (j, k) order
+REVERSED_TABLE = "3 1 0.0625\n2 2 0.25\n1 3 0.0625\n1 1 0.5\n0 0 0.125\n"
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_experiment_outputs_are_pinned(tmp_path, run):
+    if run == "poisson-site":
+        settings = dict(dist="poisson:2", n=2000, mode="site", pi_grid=(0.6, 0.8, 1.0),
+                        trials=3, master_seed=1, threads=2)
+    else:
+        (tmp_path / "dist.txt").write_text(REVERSED_TABLE)
+        settings = dict(dist=f"file:{tmp_path / 'dist.txt'}", n=1000, mode="bond",
+                        pi_grid=(0.7, 0.9), trials=2, master_seed=3, fixed_sequence=True)
+    csv, summary = tmp_path / "run.csv", tmp_path / "run.json"
+    run_experiment(ExperimentConfig(**settings, csv_path=str(csv), summary_path=str(summary)))
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (csv, summary))
+    assert digests == GOLDEN_RUNS[run]
 
 
 def test_write_csv_synthetic(tmp_path):
