@@ -98,10 +98,6 @@ class Digraph:
     def m(self) -> int:
         return self.src.size
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.src.tolist(), self.dst.tolist()))
-
     @functools.cached_property
     def simple(self) -> bool:
         if (self.src == self.dst).any():
@@ -193,7 +189,8 @@ def _cap(bounds, draw_range: int) -> int:
 
 
 def _stubs(seq: DegreeSequence) -> _Stubs:
-    # cached on the sequence: repeated sampling from one sequence is common
+    # cached on the sequence, as repeated sampling from one sequence is common; an
+    # attribute, not a cached_property there, since degrees must not import _Stubs
     cached = getattr(seq, "_stubs", None)
     if cached is None:
         cached = seq._stubs = _Stubs(seq)

@@ -127,6 +127,10 @@ class DegreeSequence:
         self._in_sum = exact_sum(in_degrees)
         self._out_sum = exact_sum(out_degrees)
 
+    @functools.cached_property
+    def _graphical(self) -> bool:
+        return _fulkerson_chen_anstee(self)
+
     @classmethod
     def from_arrays(cls, in_degrees, out_degrees) -> "DegreeSequence":
         """Build a sequence from separate in/out degree arrays (copied)."""
@@ -201,11 +205,7 @@ def is_graphical(seq: DegreeSequence) -> bool:
         If the in- and out-degree sums differ.
     """
     require_valid(seq)
-    cached = getattr(seq, "_graphical", None)
-    if cached is None:
-        cached = _fulkerson_chen_anstee(seq)
-        seq._graphical = cached
-    return cached
+    return seq._graphical
 
 
 def _fulkerson_chen_anstee(seq: DegreeSequence) -> bool:
@@ -253,11 +253,9 @@ class DegreeDistribution:
     BALANCE_TOL = 1e-9
 
     def __init__(self, probs: Mapping[tuple[int, int], float]):
-        items = sorted((int(j), int(k), float(p)) for (j, k), p in probs.items())
-        js = np.array([j for j, _, _ in items], dtype=np.int64)
-        ks = np.array([k for _, k, _ in items], dtype=np.int64)
-        ps = np.array([p for _, _, p in items], dtype=np.float64)
-        self._init_arrays(js, ks, ps, 0.0)
+        keys = [(j, k) for j, k in probs]
+        ps = np.array(list(probs.values()), dtype=np.float64)
+        self._init_arrays([j for j, _ in keys], [k for _, k in keys], ps, 0.0)
 
     @classmethod
     def _from_arrays(cls, js, ks, ps, truncation_loss: float = 0.0) -> "DegreeDistribution":
@@ -266,9 +264,18 @@ class DegreeDistribution:
         return obj
 
     def _init_arrays(self, js, ks, ps, truncation_loss):
-        """Validate and store a table given as arrays sorted by (in, out)."""
+        """Validate and store a table given as arrays, sorting its rows by (in, out)."""
         if not ps.size:
             raise DistributionFormatError("empty distribution")
+        js, ks = int_arrays(js, ks, "in/out degrees")
+        # the library's own tables are strictly increasing already: one pass decides
+        if not ((js[1:] > js[:-1]) | ((js[1:] == js[:-1]) & (ks[1:] > ks[:-1]))).all():
+            order = np.lexsort((ks, js))
+            js, ks, ps = js[order], ks[order], ps[order]
+            repeated = (js[1:] == js[:-1]) & (ks[1:] == ks[:-1])
+            if repeated.any():
+                i = int(repeated.argmax())
+                raise DistributionFormatError(f"repeated entry for ({js[i]}, {ks[i]})")
         if js.min() < 0 or ks.min() < 0:
             raise DistributionFormatError("degrees must be nonnegative")
         if ps.min() < 0:
@@ -350,8 +357,6 @@ class DegreeDistribution:
         """Independent in/out Poisson(lam) marginals, truncated at FAMILY_TAIL_MASS."""
         if lam < 0:
             raise ValueError("lam must be nonnegative")
-        if lam == 0:
-            return cls({(0, 0): 1.0})
         # The same ufuncs scipy.stats.poisson calls (sf, pmf), without importing
         # scipy.stats, which costs about 20 MB of memory.
         kmax = 0
@@ -366,7 +371,7 @@ class DegreeDistribution:
         """Point mass at (d, d)."""
         if d < 0:
             raise ValueError("d must be nonnegative")
-        return cls({(int(d), int(d)): 1.0})
+        return cls({(d, d): 1.0})
 
     @classmethod
     def geometric(cls, p: float) -> "DegreeDistribution":
@@ -613,14 +618,8 @@ def read_distribution(path) -> DegreeDistribution:
     name the file, and those of a malformed line ``path:lineno``.
     """
     rows = read_rows(path, _DISTRIBUTION_ROWS)
-    order = np.lexsort((rows["k"], rows["j"]))
-    js, ks, ps = (rows[name][order] for name in _DISTRIBUTION_ROWS.names)
-    repeated = (js[1:] == js[:-1]) & (ks[1:] == ks[:-1])
-    if repeated.any():
-        i = int(repeated.argmax())
-        raise DistributionFormatError(f"{path}: repeated entry for ({js[i]}, {ks[i]})")
     try:
-        return DegreeDistribution._from_arrays(js, ks, ps)
+        return DegreeDistribution._from_arrays(rows["j"], rows["k"], rows["p"])
     except (DistributionFormatError, ImbalanceError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

@@ -3,12 +3,12 @@
 Each (pi, trial) cell owns an independent Philox stream derived from the
 master seed and the cell's indices, so results do not depend on execution
 order or the degree of parallelism.  A trial realizes a degree sequence,
-samples a uniform simple digraph (loop switchings, then rejection of
-repeated edges), percolates it, and measures the largest strongly connected
-component.  A trial whose rejection budget is
-exhausted is retried with a fresh sub-seed up to three rounds, then recorded
-as failed; failed trials are excluded from means but counted in the summary,
-never silently dropped.
+samples a uniform simple digraph (loops and doubled edges are switched out;
+a draw is redrawn only after a rejected switching, a passed cap or a triple
+edge), percolates it, and measures the largest strongly connected component.
+A trial whose rejection budget is exhausted is retried with a fresh sub-seed
+up to three rounds, then recorded as failed; failed trials are excluded from
+means but counted in the summary, never silently dropped.
 
 By default ``elapsed_ms`` is recorded as 0 so that repeated runs with the
 same master seed produce byte-identical CSV output; set

@@ -7,8 +7,8 @@ matchings or from the exact rational closed form, graphicality from
 exhaustive search over all simple digraphs on labeled vertices or from one
 Fulkerson-Chen-Anstee inequality at a time, degree-sum repair from one
 redraw at a time, and generating functions from direct summation.  The remaining helpers view a
-degree distribution as a ``{(j, k): p}`` dict, compare two of them, or write
-a distribution or a sequence out.
+graph as a list of edges or a degree distribution as a ``{(j, k): p}`` dict,
+compare two distributions, or write a distribution or a sequence out.
 """
 
 from __future__ import annotations
@@ -192,10 +192,15 @@ def bond_table_outer_sum(dist, pi):
     return table
 
 
+def edges(g):
+    """The edges of ``g`` as a list of ``(source, target)`` tuples, in slot order."""
+    return list(zip(g.src.tolist(), g.dst.tolist()))
+
+
 def edge_multiplicities(g):
     """Number of parallel copies of each edge ``(source, target)`` of ``g``."""
     mult: dict[tuple[int, int], int] = {}
-    for e in zip(g.src.tolist(), g.dst.tolist()):
+    for e in edges(g):
         mult[e] = mult.get(e, 0) + 1
     return mult
 

@@ -48,7 +48,7 @@ def edge_signature(g):
 def test_digraph_fields():
     g = Digraph(3, [0, 1, 1], [1, 2, 2])
     assert g.m == 3
-    assert g.edges == [(0, 1), (1, 2), (1, 2)]
+    assert _oracles.edges(g) == [(0, 1), (1, 2), (1, 2)]
     assert _oracles.edge_multiplicities(g) == {(0, 1): 1, (1, 2): 2}
     assert not g.simple
     assert g.degree_sequence() == DegreeSequence([(0, 1), (1, 2), (2, 0)])
@@ -61,7 +61,7 @@ def test_digraph_copies_and_checks_input():
     src, dst = np.array([0, 1]), np.array([1, 2])
     g = Digraph(3, src, dst)
     src[0], dst[0] = 2, 0
-    assert g.edges == [(0, 1), (1, 2)]
+    assert _oracles.edges(g) == [(0, 1), (1, 2)]
     assert not (g.src.flags.writeable or g.dst.flags.writeable)
     for bad in ([0, -1], [0, 3]):
         with pytest.raises(ValueError, match=r"\[0, n\)"):
@@ -74,7 +74,7 @@ def test_digraph_rejects_non_integer_input():
     for n, src, dst in ((2.9, [0], [1]), ("2", [0], [1]), (2, [0.7], [1]), (2, [0], np.array([1.0]))):
         with pytest.raises(ValueError, match="integer"):
             Digraph(n, src, dst)
-    assert Digraph(np.int64(2), np.array([0], dtype=np.int32), [1]).edges == [(0, 1)]
+    assert _oracles.edges(Digraph(np.int64(2), np.array([0], dtype=np.int32), [1])) == [(0, 1)]
     assert Digraph(0, [], []).m == 0
 
 
@@ -571,7 +571,7 @@ def test_sample_simple_uniform_with_double_switching(ins, outs, monkeypatch):
 
 
 def _reciprocated_pairs(g):
-    edges = set(g.edges)
+    edges = set(_oracles.edges(g))
     return sum((v, u) in edges for u, v in edges) // 2
 
 
@@ -680,7 +680,7 @@ def test_edge_list_roundtrip(tmp_path):
     assert text.startswith("# n=5 m=3 seed=42\n")
     back = read_edge_list(path)
     assert back.n == 5
-    assert back.edges == g.edges
+    assert _oracles.edges(back) == _oracles.edges(g)
 
 
 def test_edge_list_headerless(tmp_path):
@@ -697,7 +697,7 @@ def test_edge_list_comments(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# n=2 m=1 seed=none"
     assert lines[1] == "# mode=bond pi=0.5 deleted=0"
-    assert read_edge_list(path).edges == [(0, 1)]
+    assert _oracles.edges(read_edge_list(path)) == [(0, 1)]
 
 
 def test_edge_list_edge_count_must_match_header(tmp_path):
@@ -714,7 +714,7 @@ def test_edge_list_header_later_whole_line_comment_wins(tmp_path, newline):
     lines = ["# n=3 m=9 naïve", "0 1", "\t# n=5 m=2", "1 4 # m=7 on an edge line is no header", ""]
     path.write_bytes(newline.join(lines).encode("utf-8"))
     g = read_edge_list(path)
-    assert (g.n, g.edges) == (5, [(0, 1), (1, 4)])
+    assert (g.n, _oracles.edges(g)) == (5, [(0, 1), (1, 4)])
     lines[2] = "# n=5x"
     path.write_bytes(newline.join(lines).encode("utf-8"))
     with pytest.raises(DistributionFormatError) as info:
@@ -773,7 +773,7 @@ def test_edge_list_roundtrip_property(tmp_path_factory, graph, seed):
     expected = per_line_edge_list(n, edges, "none" if seed is None else seed)
     assert path.read_text(encoding="utf-8") == stream.getvalue() == expected
     back = read_edge_list(path)
-    assert (back.n, back.edges) == (n, edges)
+    assert (back.n, _oracles.edges(back)) == (n, edges)
 
 
 def test_edge_list_golden_bytes_across_chunks(tmp_path, monkeypatch):
@@ -790,7 +790,7 @@ def test_edge_list_golden_bytes_across_chunks(tmp_path, monkeypatch):
     big = Digraph(10**12, src, dst)
     path = tmp_path / "big.txt"
     write_edge_list(big, path, seed=1)
-    expected = per_line_edge_list(10**12, big.edges, 1)
+    expected = per_line_edge_list(10**12, _oracles.edges(big), 1)
     assert path.read_text(encoding="utf-8") == expected
 
 
@@ -798,7 +798,7 @@ def test_edge_list_trailing_comments(tmp_path):
     path = tmp_path / "annotated.txt"
     path.write_text("# n=4 m=2 seed=none\n0 1 # first edge, m=9 here is no header\n\n  2 3\t# second\n")
     g = read_edge_list(path)
-    assert (g.n, g.edges) == (4, [(0, 1), (2, 3)])
+    assert (g.n, _oracles.edges(g)) == (4, [(0, 1), (2, 3)])
 
 
 @pytest.mark.parametrize(

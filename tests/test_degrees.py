@@ -126,6 +126,15 @@ def test_graphical_examples():
     assert is_graphical(DegreeSequence([(2, 2), (1, 1), (1, 1)]))
 
 
+def test_graphical_is_computed_once(monkeypatch):
+    seq = DegreeSequence([(2, 2), (1, 1), (1, 1)])
+    assert is_graphical(seq)
+    monkeypatch.setattr(degrees, "_fulkerson_chen_anstee", None)  # a second check would fail
+    assert is_graphical(seq)
+    with pytest.raises(TypeError):
+        is_graphical(DegreeSequence([(1, 1), (1, 1)]))
+
+
 def test_graphical_rejects_invalid():
     with pytest.raises(InvalidSequenceError):
         is_graphical(DegreeSequence([(2, 0), (0, 1)]))
@@ -273,6 +282,35 @@ def test_distribution_rejects_bad_mass():
         DegreeDistribution({(1, 1): -0.2, (0, 0): 1.2})
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [
+        {(1.5, 1.7): 0.5, (0, 0): 0.5},  # not integers
+        {(1.5, 1): 0.5, (1, 1): 0.5},  # not integers, and would repeat (1, 1) if truncated
+        {(1, 2, 3): 0.5, (4, 5, 6): 0.5},  # keys that are not pairs
+    ],
+)
+def test_distribution_rejects_bad_keys(probs):
+    with pytest.raises(ValueError):
+        DegreeDistribution(probs)
+
+
+def test_distribution_accepts_numpy_integer_keys():
+    dist = DegreeDistribution({(np.int32(1), np.uint8(1)): 0.5, (np.int64(0), 0): 0.5})
+    assert dist.js.dtype == dist.ks.dtype == np.int64
+    assert _oracles.support(dist) == {(0, 0): 0.5, (1, 1): 0.5}
+
+
+def test_distribution_arrays_are_sorted_and_checked():
+    js, ks, ps = np.array([2, 0, 1, 0]), np.array([0, 2, 1, 0]), np.array([0.2, 0.2, 0.5, 0.1])
+    dist = DegreeDistribution._from_arrays(js, ks, ps)
+    assert (dist.js.tolist(), dist.ks.tolist()) == ([0, 0, 1, 2], [0, 2, 1, 0])
+    np.testing.assert_array_equal(dist.ps, [0.1, 0.2, 0.5, 0.2])
+    repeated = np.array([1, 0, 1])
+    with pytest.raises(DistributionFormatError, match=re.escape("repeated entry for (1, 1)")):
+        DegreeDistribution._from_arrays(repeated, repeated, np.array([0.25, 0.5, 0.25]))
+
+
 def test_poisson_family_moments():
     lam = 2.0
     dist = DegreeDistribution.poisson(lam)
@@ -296,6 +334,16 @@ def test_constant_family():
     dist = DegreeDistribution.constant(3)
     assert _oracles.support(dist) == {(3, 3): 1.0}
     assert dist.mu == 3.0 and dist.mu11 == 9.0
+
+
+def test_constant_rejects_non_integer_degree():
+    with pytest.raises(ValueError):
+        DegreeDistribution.constant(2.5)
+
+
+def test_poisson_zero_is_the_point_mass_at_zero():
+    dist = DegreeDistribution.poisson(0)
+    assert _oracles.support(dist) == {(0, 0): 1.0} and dist.truncation_loss == 0.0
 
 
 def test_distribution_from_spec():
@@ -502,6 +550,8 @@ def test_distribution_file_order_does_not_matter(tmp_path):
     "text, error, message",
     [
         ("1 1 0.25\n2 0 0.25\n1 1 0.5\n", DistributionFormatError, "repeated entry for (1, 1)"),
+        # a repeat is reported before the wrong mass
+        ("1 1 0.25\n1 1 0.25\n", DistributionFormatError, "repeated entry for (1, 1)"),
         ("1 1 0.5\n", DistributionFormatError, "probabilities sum to 0.5"),
         ("2 0 0.5\n0 0 0.5\n", ImbalanceError, "mean in-degree 1.0 != mean out-degree 0.0"),
         ("# only a comment\n", DistributionFormatError, "empty distribution"),

@@ -63,6 +63,7 @@ def test_removed_attributes_are_gone():
     records = {
         "DegreeDistribution.support": dp.DegreeDistribution.constant(1),
         "Digraph.edge_multiplicities": dp.Digraph(1, [], []),
+        "Digraph.edges": dp.Digraph(1, [], []),
         "CriticalThreshold.supercritical_possible": dp.critical_threshold(
             dp.DegreeDistribution.constant(1)
         ),
