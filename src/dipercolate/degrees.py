@@ -286,7 +286,8 @@ class DegreeDistribution:
                 f"probabilities sum to {total!r}, expected 1 +/- {MASS_TOL}"
             )
         keep = ps > 0.0
-        js, ks, ps = js[keep], ks[keep], ps[keep]
+        if not keep.all():  # js and ks are copies already, and ps / total is one
+            js, ks, ps = js[keep], ks[keep], ps[keep]
         ps = ps / total
         for arr in (js, ks, ps):
             arr.setflags(write=False)
