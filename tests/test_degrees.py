@@ -306,6 +306,8 @@ def test_distribution_arrays_are_sorted_and_checked():
     dist = DegreeDistribution._from_arrays(js, ks, ps)
     assert (dist.js.tolist(), dist.ks.tolist()) == ([0, 0, 1, 2], [0, 2, 1, 0])
     np.testing.assert_array_equal(dist.ps, [0.1, 0.2, 0.5, 0.2])
+    # a zero-probability row is dropped
+    assert _oracles.support(DegreeDistribution({(1, 1): 0.0, (0, 0): 1.0})) == {(0, 0): 1.0}
     repeated = np.array([1, 0, 1])
     with pytest.raises(DistributionFormatError, match=re.escape("repeated entry for (1, 1)")):
         DegreeDistribution._from_arrays(repeated, repeated, np.array([0.25, 0.5, 0.25]))
