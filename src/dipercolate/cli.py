@@ -41,7 +41,7 @@ from .experiments import (
     parse_pi_grid,
     run_experiment,
 )
-from .percolation import bond_percolate, site_percolate
+from .percolation import PERCOLATE
 from .theory import gscc_fraction
 
 __all__ = ["main"]
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("theory", help="print the analytic prediction as JSON")
     p.add_argument("--dist", required=True, help="poisson:L | const:D | geometric:P | file:PATH")
     p.add_argument("--pi", type=float, default=None)
-    p.add_argument("--mode", choices=("bond", "site", "none"), required=True)
+    p.add_argument("--mode", choices=(*PERCOLATE, "none"), required=True)
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("sample", help="sample a graph and write its edge list")
@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("percolate", help="percolate an edge-list file")
     p.add_argument("--graph", required=True)
     p.add_argument("--pi", type=float, required=True)
-    p.add_argument("--mode", choices=("bond", "site"), required=True)
+    p.add_argument("--mode", choices=PERCOLATE, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--deleted-out", default=None, help="write deleted vertex ids here (site mode)")
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     # one flag per experiments.CONFIG_KEYS row, stored under its config field
     p.add_argument("--dist")
     p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("bond", "site"))
+    p.add_argument("--mode", choices=PERCOLATE)
     p.add_argument("--pi-grid", help="comma-separated pi values")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", dest="master_seed", type=int, help="master seed")
@@ -150,10 +150,7 @@ def _cmd_sample(args) -> int:
 def _cmd_percolate(args) -> int:
     graph = read_edge_list(args.graph)
     rng = make_rng(args.seed)
-    if args.mode == "bond":
-        outcome = bond_percolate(graph, args.pi, rng)
-    else:
-        outcome = site_percolate(graph, args.pi, rng)
+    outcome = PERCOLATE[args.mode](graph, args.pi, rng)
     comments = [f"mode={outcome.mode} pi={outcome.pi!r} deleted={outcome.deleted_vertices.size}"]
     write_edge_list(
         outcome.graph,
@@ -222,8 +219,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (DipercolateError, OSError, ValueError) as exc:
-        print(f"dipercolate: error: {exc}", file=sys.stderr)
+    except (DipercolateError, OSError, ValueError, MemoryError) as exc:
+        print(f"dipercolate: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

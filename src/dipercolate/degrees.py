@@ -356,8 +356,8 @@ class DegreeDistribution:
     @classmethod
     def poisson(cls, lam: float) -> "DegreeDistribution":
         """Independent in/out Poisson(lam) marginals, truncated at FAMILY_TAIL_MASS."""
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= lam < math.inf:  # also rejects nan
+            raise ValueError("lam must be finite and nonnegative")
         # The same ufuncs scipy.stats.poisson calls (sf, pmf), without importing
         # scipy.stats, which costs about 20 MB of memory.
         kmax = 0

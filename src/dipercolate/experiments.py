@@ -45,8 +45,8 @@ from .errors import (
     NotGraphicalError,
     RepairFailedError,
 )
-from .percolation import bond_percolate, site_percolate
-from .theory import gscc_fraction
+from .percolation import PERCOLATE
+from .theory import critical_threshold, gscc_fraction
 
 __all__ = [
     "ExperimentConfig",
@@ -84,8 +84,8 @@ class ExperimentConfig:
     summary_path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("bond", "site"):
-            raise ConfigError(f"mode must be 'bond' or 'site', got {self.mode!r}")
+        if self.mode not in PERCOLATE:
+            raise ConfigError(f"mode must be {' or '.join(map(repr, PERCOLATE))}, got {self.mode!r}")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if self.trials < 1:
@@ -168,10 +168,7 @@ def _run_trial(
         except (NotGraphicalError, RepairFailedError):
             continue
         total_attempts += attempts
-        if config.mode == "bond":
-            outcome = bond_percolate(graph, pi, rng)
-        else:
-            outcome = site_percolate(graph, pi, rng)
+        outcome = PERCOLATE[config.mode](graph, pi, rng)
         m_before, m_after = graph.m, outcome.surviving_edges
         deleted = int(outcome.deleted_vertices.size)
         largest = strongly_connected_components(outcome.graph).largest[1]
@@ -202,14 +199,20 @@ def run_experiment(
     Records come back sorted by (pi index, trial index) regardless of
     ``config.threads``.  CSV and JSON files are written when the config
     carries paths for them.  Before any trial, :class:`RepairFailedError` is
-    raised if the degree sums can never balance at n, and
+    raised if the degree sums can never balance at n,
     :class:`NotGraphicalError` if every support point has a degree of n or
-    more, or if a fixed sequence is not graphical.
+    more, or if a fixed sequence is not graphical, the error of
+    :func:`~dipercolate.theory.critical_threshold` if the theory column is
+    undefined, and :class:`OSError` if an output path cannot be opened.
     """
     if dist is None:
         dist = distribution_from_spec(config.dist)
     require_balanceable(dist, config.n)
     require_simple_support(dist, config.n)
+    critical_threshold(dist)
+    for path in (config.csv_path, config.summary_path):
+        if path:
+            open(path, "a").close()  # leaves an existing file's bytes as they are
     fixed_seq = None
     if config.fixed_sequence:
         fixed_seq = realize_sequence(

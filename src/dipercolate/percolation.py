@@ -6,8 +6,10 @@ probability 1 - pi and removes every incident edge; deleted vertices stay in
 the vertex set with degree (0, 0), so vertex ids remain stable for component
 bookkeeping.
 
-pi = 1 is admitted as a degenerate identity (useful as a regression anchor);
-pi = 0 is rejected because downstream quantities divide by pi.
+pi = 1 is admitted as a degenerate identity (useful as a regression anchor):
+it goes through the same uniform draw, and every uniform lies below 1, so
+every edge and vertex survives.  pi = 0 is rejected because downstream
+quantities divide by pi.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class PercolationOutcome:
         return self.graph.m
 
 
-def _check_pi(pi: float) -> float:
+def check_pi(pi: float) -> float:
+    """Return ``pi`` as a float, or raise PiOutOfRangeError outside (0, 1]."""
     pi = float(pi)
     if not 0.0 < pi <= 1.0:
         raise PiOutOfRangeError(f"pi must lie in (0, 1], got {pi!r}")
@@ -64,14 +67,9 @@ def _check_pi(pi: float) -> float:
 
 def bond_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> PercolationOutcome:
     """Keep each edge independently with probability ``pi``; vertices unchanged."""
-    pi = _check_pi(pi)
-    if pi == 1.0:
-        kept_src, kept_dst = g.src, g.dst
-    else:
-        keep = rng.random(g.m) < pi
-        kept_src = g.src[keep]
-        kept_dst = g.dst[keep]
-    percolated = Digraph._from_arrays(g.n, kept_src, kept_dst)
+    pi = check_pi(pi)
+    keep = rng.random(g.m) < pi
+    percolated = Digraph._from_arrays(g.n, g.src[keep], g.dst[keep])
     return PercolationOutcome(percolated, "bond", pi, np.empty(0, dtype=np.int64))
 
 
@@ -80,18 +78,12 @@ def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> Percolati
 
     Deleted vertices remain in the vertex set with degree (0, 0).
     """
-    pi = _check_pi(pi)
-    if pi == 1.0:
-        survives = np.ones(g.n, dtype=bool)
-    else:
-        survives = rng.random(g.n) < pi
-    deleted = np.flatnonzero(~survives)
-    if deleted.size:
-        keep = survives[g.src] & survives[g.dst]
-        kept_src = g.src[keep]
-        kept_dst = g.dst[keep]
-    else:
-        kept_src, kept_dst = g.src, g.dst
-    percolated = Digraph._from_arrays(g.n, kept_src, kept_dst)
-    return PercolationOutcome(percolated, "site", pi, deleted)
+    pi = check_pi(pi)
+    survives = rng.random(g.n) < pi
+    keep = survives[g.src] & survives[g.dst]
+    percolated = Digraph._from_arrays(g.n, g.src[keep], g.dst[keep])
+    return PercolationOutcome(percolated, "site", pi, np.flatnonzero(~survives))
 
+
+# The one map from a mode to its function; the config and the CLI accept its keys.
+PERCOLATE = {"bond": bond_percolate, "site": site_percolate}

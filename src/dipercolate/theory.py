@@ -34,7 +34,7 @@ import numpy as np
 
 from .degrees import DegreeDistribution
 from .errors import PiOutOfRangeError, ZeroMeanDegreeError, ZeroMu11Error
-from .percolation import _check_pi
+from .percolation import check_pi
 
 __all__ = [
     "TheoryPrediction",
@@ -81,7 +81,7 @@ def bond_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution
     """
     from scipy import stats  # imported here: about 20 MB, needed by nothing else
 
-    pi = _check_pi(pi)
+    pi = check_pi(pi)
     if pi == 1.0:
         return dist
     d_in, d_out = np.arange(dist.max_in + 1), np.arange(dist.max_out + 1)
@@ -99,7 +99,7 @@ def site_distribution(dist: DegreeDistribution, pi: float) -> DegreeDistribution
     deleted vertices: p_site[0,0] = pi * p_bond[0,0] + 1 - pi.  The output
     satisfies mu -> pi^2 * mu and mu_11 -> pi^3 * mu_11.
     """
-    pi = _check_pi(pi)
+    pi = check_pi(pi)
     bond = bond_distribution(dist, pi)
     if pi == 1.0:
         return bond
@@ -254,7 +254,7 @@ def gscc_fraction(
     elif pi is None:
         raise PiOutOfRangeError("pi is required for bond/site mode")
     else:
-        pi_eff = _check_pi(pi)
+        pi_eff = check_pi(pi)
 
     x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, coeffs, pi_eff)
     c_site = pi_eff * c_bond

@@ -72,6 +72,32 @@ def test_bad_pi_runtime_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_non_finite_poisson_rate_exits_two(capsys, lam):
+    code, out, err = run_cli(
+        capsys, "theory", "--dist", f"poisson:{lam}", "--pi", "0.8", "--mode", "bond"
+    )
+    assert (code, out) == (2, "")
+    assert "bad parameter" in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 77.9 GiB"), "Unable to allocate 77.9 GiB"),
+     (MemoryError(), "MemoryError")],
+)
+def test_oversized_table_exits_two(monkeypatch, capsys, exc, message):
+    def too_large(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "distribution_from_spec", too_large)
+    code, out, err = run_cli(
+        capsys, "theory", "--dist", "poisson:1e5", "--pi", "0.8", "--mode", "bond"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"dipercolate: error: {message}\n"
+
+
 def console_script_entry_point():
     """The entry point that the ``dipercolate`` console script runs.
 

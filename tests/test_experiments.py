@@ -18,7 +18,7 @@ from dipercolate import (
     write_csv,
 )
 from dipercolate import degrees, experiments
-from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError
+from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError, ZeroMu11Error
 from dipercolate.experiments import CSV_COLUMNS, config_from_mapping
 
 
@@ -263,6 +263,29 @@ def test_support_without_small_degrees_raises_before_any_trial(tmp_path, monkeyp
     with pytest.raises(NotGraphicalError, match="shared degree sequence"):
         run_experiment(small_config(dist=f"file:{table}", n=3, fixed_sequence=True))
     assert not csv_path.exists()
+
+
+def test_undefined_theory_raises_before_any_trial(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_trial", lambda *args: pytest.fail("a trial started"))
+    csv_path = tmp_path / "t.csv"
+    # mu_11 = 0: no vertex has both an in- and an out-edge; const:0 also has mu = 0
+    table = tmp_path / "table.txt"
+    table.write_text("0 1 0.5\n1 0 0.5\n")
+    for dist in (f"file:{table}", "const:0"):
+        with pytest.raises(ZeroMu11Error):
+            run_experiment(small_config(dist=dist, csv_path=csv_path))
+    assert not csv_path.exists()
+
+
+def test_unwritable_output_raises_before_any_trial(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_trial", lambda *args: pytest.fail("a trial started"))
+    missing = tmp_path / "missing" / "out"
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("earlier run\n")
+    for paths in ({"csv_path": missing}, {"csv_path": csv_path, "summary_path": missing}):
+        with pytest.raises(FileNotFoundError):
+            run_experiment(small_config(**paths))
+    assert csv_path.read_text() == "earlier run\n"
 
 
 # ----- summarize ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from dipercolate import (
 )
 from dipercolate.degrees import require_valid
 from dipercolate.errors import PiOutOfRangeError
+from dipercolate.percolation import PERCOLATE
 
 
 def rng_for(seed):
@@ -38,6 +39,11 @@ def test_identity_at_pi_one(mode):
     assert out.surviving_edges == g.m
     assert out.deleted_vertices.size == 0
     assert out.graph.degree_sequence() == g.degree_sequence()
+
+
+@pytest.mark.parametrize("mode", PERCOLATE)
+def test_mode_table_key_is_the_outcome_mode(mode):
+    assert PERCOLATE[mode](two_cycle(), 0.5, rng_for(0)).mode == mode
 
 
 @pytest.mark.parametrize("mode", [bond_percolate, site_percolate])
