@@ -35,6 +35,7 @@ from .degrees import (
 from .errors import DipercolateError, InvalidSequenceError
 from .experiments import (
     CONFIG_KEYS,
+    claim_outputs,
     config_from_mapping,
     load_config,
     make_rng,
@@ -64,8 +65,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("theory", help="print the analytic prediction as JSON")
     p.add_argument("--dist", required=True, help="poisson:L | const:D | geometric:P | file:PATH")
-    p.add_argument("--pi", type=float, default=None)
-    p.add_argument("--mode", choices=(*PERCOLATE, "none"), required=True)
+    p.add_argument("--pi", type=float, required=True, help="1 for the unpercolated graph")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("sample", help="sample a graph and write its edge list")
@@ -126,49 +126,42 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_theory(args) -> int:
-    if args.mode != "none" and args.pi is None:
-        print("error: --pi is required for mode bond/site", file=sys.stderr)
-        return 1
-    dist = distribution_from_spec(args.dist)
-    pred = gscc_fraction(dist, args.pi, args.mode)
+    pred = gscc_fraction(distribution_from_spec(args.dist), args.pi)
     print(json.dumps(pred.to_dict()))
     return 0
 
 
 def _cmd_sample(args) -> int:
     dist = distribution_from_spec(args.dist)
-    rng = make_rng(args.seed)
-    seq = realize_sequence(dist, args.n, rng)
-    if args.multigraph:
-        graph = sample_configuration(seq, rng)
-    else:
-        graph, _ = sample_simple(seq, rng, args.max_attempts)
-    write_edge_list(graph, args.out if args.out else sys.stdout, seed=args.seed)
+    with claim_outputs(args.out):
+        rng = make_rng(args.seed)
+        seq = realize_sequence(dist, args.n, rng)
+        if args.multigraph:
+            graph = sample_configuration(seq, rng)
+        else:
+            graph, _ = sample_simple(seq, rng, args.max_attempts)
+        write_edge_list(graph, args.out or sys.stdout, seed=args.seed)
     return 0
 
 
 def _cmd_percolate(args) -> int:
     graph = read_edge_list(args.graph)
-    rng = make_rng(args.seed)
-    outcome = PERCOLATE[args.mode](graph, args.pi, rng)
-    comments = [f"mode={outcome.mode} pi={outcome.pi!r} deleted={outcome.deleted_vertices.size}"]
-    write_edge_list(
-        outcome.graph,
-        args.out if args.out else sys.stdout,
-        seed=args.seed,
-        comments=comments,
-    )
-    if args.deleted_out:
-        with open(args.deleted_out, "w", encoding="utf-8") as fh:
-            write_int_rows(fh, outcome.deleted_vertices)
+    with claim_outputs(args.out, args.deleted_out):
+        outcome = PERCOLATE[args.mode](graph, args.pi, make_rng(args.seed))
+        comments = [f"mode={outcome.mode} pi={outcome.pi!r} deleted={outcome.deleted_vertices.size}"]
+        write_edge_list(outcome.graph, args.out or sys.stdout, seed=args.seed, comments=comments)
+        if args.deleted_out:
+            with open(args.deleted_out, "w", encoding="utf-8") as fh:
+                write_int_rows(fh, outcome.deleted_vertices)
     return 0
 
 
 def _cmd_scc(args) -> int:
     graph = read_edge_list(args.graph)
-    partition = strongly_connected_components(graph)
-    if args.labels_out:
-        write_labels(partition, args.labels_out)
+    with claim_outputs(args.labels_out):
+        partition = strongly_connected_components(graph)
+        if args.labels_out:
+            write_labels(partition, args.labels_out)
     print(f"{partition.count} component(s); largest = {partition.largest[1]}")
     return 0
 

@@ -18,8 +18,10 @@ of that determinism).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -210,9 +212,6 @@ def run_experiment(
     require_balanceable(dist, config.n)
     require_simple_support(dist, config.n)
     critical_threshold(dist)
-    for path in (config.csv_path, config.summary_path):
-        if path:
-            open(path, "a").close()  # leaves an existing file's bytes as they are
     fixed_seq = None
     if config.fixed_sequence:
         fixed_seq = realize_sequence(
@@ -220,16 +219,17 @@ def run_experiment(
         )
         if not is_graphical(fixed_seq):
             raise NotGraphicalError(f"the shared degree sequence is not graphical: {fixed_seq!r}")
-    cells = itertools.product(range(len(config.pi_grid)), range(config.trials))
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        records = list(
-            pool.map(lambda cell: _run_trial(dist, config, *cell, fixed_seq), cells)
-        )
-    summary = summarize(records, dist, config.mode)
-    if config.csv_path:
-        write_csv(records, config.csv_path)
-    if config.summary_path:
-        write_summary(summary, config.summary_path)
+    with claim_outputs(config.csv_path, config.summary_path):
+        cells = itertools.product(range(len(config.pi_grid)), range(config.trials))
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            records = list(
+                pool.map(lambda cell: _run_trial(dist, config, *cell, fixed_seq), cells)
+            )
+        summary = summarize(records, dist, config.mode)
+        if config.csv_path:
+            write_csv(records, config.csv_path)
+        if config.summary_path:
+            write_summary(summary, config.summary_path)
     return records, summary
 
 
@@ -273,6 +273,23 @@ def summarize(
             }
         )
     return rows
+
+
+@contextlib.contextmanager
+def claim_outputs(*paths):
+    """Open each output path that is not None before the ``with`` body does
+    the work.  An existing file keeps its bytes; if an open or the body fails,
+    the files created here are removed before the error propagates."""
+    created = [path for path in filter(None, paths) if not os.path.exists(path)]
+    try:
+        for path in filter(None, paths):
+            open(path, "a").close()
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def write_csv(records: Iterable[TrialRecord], path) -> None:

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .degrees import DegreeDistribution
-from .errors import PiOutOfRangeError, ZeroMeanDegreeError, ZeroMu11Error
-from .percolation import check_pi
+from .errors import ZeroMeanDegreeError, ZeroMu11Error
+from .percolation import PERCOLATE, check_pi
 
 __all__ = [
     "TheoryPrediction",
@@ -61,8 +61,8 @@ def _require_mu(dist: DegreeDistribution) -> float:
 
 def _boundary_coefficients(dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors (a, b) of U_minus and U_plus, each normalized by its
-    own total (mu_01, mu_10; equal to BALANCE_TOL) so that the fixed point at 1
-    the solver divides out is exact."""
+    own total (mu_01 and mu_10, which agree within BALANCE_TOL) so that the
+    fixed point at 1 the solver divides out is exact."""
     _require_mu(dist)
     a = np.bincount(dist.js, weights=dist.ks * dist.ps)
     b = np.bincount(dist.ks, weights=dist.js * dist.ps)
@@ -146,9 +146,7 @@ class FixedPointResult(NamedTuple):
         return 1.0 - self.s
 
 
-def solve_fixed_point(
-    coeffs: np.ndarray, pi: float, max_iters: int = MAX_SOLVER_ITERS
-) -> FixedPointResult:
+def solve_fixed_point(coeffs: np.ndarray, pi: float) -> FixedPointResult:
     """Smallest fixed point x* in [0, 1] of x -> sum_d coeffs[d] (1 - pi + pi x)^d.
 
     ``coeffs`` are nonnegative and sum to 1, so x = 1 is a fixed point.  With
@@ -157,7 +155,7 @@ def solve_fixed_point(
     decreasing and convex on (0, 1].  If g(0+) <= 0 (slope at 1 at most 1)
     x* = 1.  Otherwise Newton steps from s = 1 keep a bracket g(lo) > 0 >= g(hi);
     one that would leave it is replaced by bisection.  The solve stops when the
-    bracket is four ulps wide or after ``max_iters`` evaluations of g.
+    bracket is four ulps wide or after ``MAX_SOLVER_ITERS`` evaluations of g.
     ``residual`` bounds |x - x*|: the final bracket width plus the shift of the
     root that rounding in g can cause.
     """
@@ -167,7 +165,7 @@ def solve_fixed_point(
         return FixedPointResult(0.0, 0, 0.0)
     powers = np.arange(tails.size)
     lo, hi, s, iters, dg = 0.0, 1.0, 1.0, 0, math.inf
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_SOLVER_ITERS + 1):
         w = _one_minus_pow(pi * s, powers)  # 1 - z^i
         g = excess - pi * (tails @ w)
         dg = pi * pi * ((powers[1:] * tails[1:]) @ (1.0 - w[:-1]))  # -g'(s)
@@ -192,7 +190,7 @@ def solve_fixed_point(
 
 @dataclasses.dataclass(frozen=True)
 class TheoryPrediction:
-    """Threshold, fixed points, and GSCC fractions for one (dist, pi, mode).
+    """Threshold, fixed points, and GSCC fractions for one (dist, pi).
 
     ``solver_iters`` and ``solver_residual`` aggregate all fixed-point solves:
     total Newton/bisection steps, and the largest error bound, which is the
@@ -229,37 +227,26 @@ def _gscc_terms(dist, coeffs, pi):
     return rx.x, ry.x, min(1.0, float(c)), rx.iters + ry.iters, max(rx.residual, ry.residual)
 
 
-def gscc_fraction(
-    dist: DegreeDistribution,
-    pi: float | None = None,
-    mode: str = "bond",
-) -> TheoryPrediction:
-    """Predict the giant strongly connected component fraction.
+def gscc_fraction(dist: DegreeDistribution, pi: float, mode: str = "bond") -> TheoryPrediction:
+    """Predict the giant strongly connected component fraction at percolation
+    probability ``pi``; pi = 1 is the unpercolated graph, where c_bond = zeta.
 
-    ``mode "bond"``/``"site"`` percolate with probability ``pi`` (both
-    fractions are reported; they share fixed points, so c_site = pi * c_bond
-    holds exactly).  ``mode "none"`` evaluates the unpercolated graph, i.e.
-    pi is ignored and treated as 1; the headline value equals ``zeta``.
+    Bond and site percolation share fixed points, so the answer does not
+    depend on ``mode`` (a key of ``PERCOLATE``): both fractions are reported,
+    and c_site = pi * c_bond holds exactly.
 
     Raises
     ------
-    ZeroMeanDegreeError, ZeroMu11Error, PiOutOfRangeError
+    ValueError, ZeroMeanDegreeError, ZeroMu11Error, PiOutOfRangeError
     """
-    if mode not in ("bond", "site", "none"):
-        raise ValueError(f"mode must be 'bond', 'site' or 'none', got {mode!r}")
+    if mode not in PERCOLATE:
+        raise ValueError(f"mode must be {' or '.join(map(repr, PERCOLATE))}, got {mode!r}")
     coeffs = _boundary_coefficients(dist)  # ZeroMeanDegreeError before ZeroMu11Error
     pi_c = critical_threshold(dist).pi_c
-    if mode == "none":
-        pi_eff = 1.0
-    elif pi is None:
-        raise PiOutOfRangeError("pi is required for bond/site mode")
-    else:
-        pi_eff = check_pi(pi)
+    pi = check_pi(pi)
 
-    x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, coeffs, pi_eff)
-    c_site = pi_eff * c_bond
-
-    if pi_eff == 1.0:
+    x_star, y_star, c_bond, iters, residual = _gscc_terms(dist, coeffs, pi)
+    if pi == 1.0:
         zeta = c_bond
     else:
         _, _, zeta, ziters, zresidual = _gscc_terms(dist, coeffs, 1.0)
@@ -267,12 +254,12 @@ def gscc_fraction(
         residual = max(residual, zresidual)
 
     return TheoryPrediction(
-        pi=pi_eff,
+        pi=pi,
         pi_c=pi_c,
         x_star=x_star,
         y_star=y_star,
         c_bond=c_bond,
-        c_site=c_site,
+        c_site=pi * c_bond,
         zeta=zeta,
         solver_iters=iters,
         solver_residual=residual,

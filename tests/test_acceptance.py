@@ -289,7 +289,7 @@ def test_c12_cli_determinism(tmp_path, capsys):
             return capsys.readouterr().out
 
         theory_args = [
-            "theory", "--dist", "poisson:2", "--pi", "0.8", "--mode", "bond"
+            "theory", "--dist", "poisson:2", "--pi", "0.8"
         ]
         assert run(theory_args) == run(theory_args)
 

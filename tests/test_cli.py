@@ -13,6 +13,7 @@ import _oracles
 import dipercolate
 from dipercolate import cli, read_edge_list
 from dipercolate.cli import main
+from dipercolate.errors import AttemptsExhaustedError
 from dipercolate.experiments import CONFIG_KEYS, config_from_mapping
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -45,8 +46,9 @@ def test_unknown_subcommand_usage_error(capsys):
 
 
 def test_missing_flag_usage_error(capsys):
-    code, _, err = run_cli(capsys, "theory", "--mode", "bond")
+    code, _, err = run_cli(capsys, "theory", "--pi", "0.8")
     assert code == 1
+    assert "--dist" in err
 
 
 def test_unreadable_file_runtime_error(capsys):
@@ -75,7 +77,7 @@ def test_bad_pi_runtime_error(tmp_path, capsys):
 @pytest.mark.parametrize("lam", ["inf", "nan"])
 def test_non_finite_poisson_rate_exits_two(capsys, lam):
     code, out, err = run_cli(
-        capsys, "theory", "--dist", f"poisson:{lam}", "--pi", "0.8", "--mode", "bond"
+        capsys, "theory", "--dist", f"poisson:{lam}", "--pi", "0.8"
     )
     assert (code, out) == (2, "")
     assert "bad parameter" in err and "finite" in err
@@ -92,7 +94,7 @@ def test_oversized_table_exits_two(monkeypatch, capsys, exc, message):
 
     monkeypatch.setattr(cli, "distribution_from_spec", too_large)
     code, out, err = run_cli(
-        capsys, "theory", "--dist", "poisson:1e5", "--pi", "0.8", "--mode", "bond"
+        capsys, "theory", "--dist", "poisson:1e5", "--pi", "0.8"
     )
     assert (code, out) == (2, "")
     assert err == f"dipercolate: error: {message}\n"
@@ -163,7 +165,7 @@ def test_python_m_dipercolate():
 
 def test_theory_json(capsys):
     code, out, err = run_cli(
-        capsys, "theory", "--dist", "poisson:2", "--pi", "0.8", "--mode", "bond"
+        capsys, "theory", "--dist", "poisson:2", "--pi", "0.8"
     )
     assert code == 0
     payload = json.loads(out)
@@ -182,8 +184,8 @@ def test_theory_json(capsys):
     assert payload["pi_c"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_theory_mode_none_without_pi(capsys):
-    code, out, _ = run_cli(capsys, "theory", "--dist", "const:2", "--mode", "none")
+def test_theory_pi_one_is_unpercolated(capsys):
+    code, out, _ = run_cli(capsys, "theory", "--dist", "const:2", "--pi", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["pi"] == 1.0
@@ -191,7 +193,7 @@ def test_theory_mode_none_without_pi(capsys):
 
 
 def test_theory_bond_requires_pi(capsys):
-    code, _, err = run_cli(capsys, "theory", "--dist", "poisson:2", "--mode", "bond")
+    code, _, err = run_cli(capsys, "theory", "--dist", "poisson:2")
     assert code == 1
     assert "--pi" in err
 
@@ -301,6 +303,76 @@ def test_scc_labels_out(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "scc", "--graph", graph, "--labels-out", str(labels))
     assert code == 0
     assert len(labels.read_text().splitlines()) == 2
+
+
+# ----- outputs open before the work -----------------------------------------------
+
+
+def not_reached(what):
+    def fail(*args, **kwargs):
+        pytest.fail(f"{what} started before every output was open")
+
+    return fail
+
+
+def test_percolate_unwritable_deleted_out_removes_new_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.PERCOLATE, "site", not_reached("percolation"))
+    graph = write_two_cycle(tmp_path)
+    missing = str(tmp_path / "missing" / "d.txt")
+    out = tmp_path / "o.txt"
+    argv = ["percolate", "--graph", graph, "--pi", "0.8", "--mode", "site", "--seed", "2",
+            "--out", str(out), "--deleted-out", missing]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and missing in err
+    assert not out.exists()
+    # an existing output keeps its bytes
+    out.write_text("earlier run\n")
+    assert run_cli(capsys, *argv)[0] == 2
+    assert out.read_text() == "earlier run\n"
+
+
+def test_sample_unwritable_out_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "realize_sequence", not_reached("sampling"))
+    missing = str(tmp_path / "missing" / "g.txt")
+    code, _, err = run_cli(
+        capsys, "sample", "--dist", "poisson:2", "--n", "100", "--seed", "1", "--out", missing
+    )
+    assert code == 2 and missing in err
+
+
+def test_sample_failure_removes_new_out(tmp_path, capsys, monkeypatch):
+    def exhausted(seq, rng, max_attempts):
+        raise AttemptsExhaustedError(max_attempts)
+
+    monkeypatch.setattr(cli, "sample_simple", exhausted)
+    out = tmp_path / "g.txt"
+    code, _, _ = run_cli(
+        capsys, "sample", "--dist", "poisson:2", "--n", "100", "--seed", "1", "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+def test_scc_unwritable_labels_out_fails_before_scc(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "strongly_connected_components", not_reached("SCC"))
+    missing = str(tmp_path / "missing" / "l.txt")
+    code, out, err = run_cli(
+        capsys, "scc", "--graph", write_two_cycle(tmp_path), "--labels-out", missing
+    )
+    assert (code, out) == (2, "")
+    assert missing in err
+
+
+def test_experiment_non_graphical_shared_sequence_leaves_no_outputs(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("2 2 0.5\n0 0 0.5\n")
+    csv_path, json_path = tmp_path / "new.csv", tmp_path / "new.json"
+    code, _, err = run_cli(
+        capsys, "experiment", "--dist", f"file:{table}", "--fixed-sequence", "--n", "3",
+        "--pi-grid", "1", "--csv", str(csv_path), "--json", str(json_path),
+    )
+    assert code == 2 and "shared degree sequence is not graphical" in err
+    assert not csv_path.exists() and not json_path.exists()
 
 
 # ----- check ---------------------------------------------------------------------

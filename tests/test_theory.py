@@ -15,6 +15,7 @@ from dipercolate import (
     site_distribution,
     solve_fixed_point,
 )
+from dipercolate import theory
 from dipercolate.theory import _boundary_coefficients
 from dipercolate.errors import PiOutOfRangeError, ZeroMeanDegreeError, ZeroMu11Error
 import _oracles
@@ -205,8 +206,9 @@ def test_solve_fixed_point_subcritical_map():
     assert result.x == pytest.approx(1.0, abs=1e-9)
 
 
-def test_solve_fixed_point_budget():
-    result = solve_fixed_point(POISSON2_COEFFS, 0.8, max_iters=2)
+def test_solve_fixed_point_budget(monkeypatch):
+    monkeypatch.setattr(theory, "MAX_SOLVER_ITERS", 2)
+    result = solve_fixed_point(POISSON2_COEFFS, 0.8)
     assert result.iters == 2
     assert result.residual > 0.0
     # the unfinished bracket still bounds the error
@@ -242,22 +244,22 @@ def test_gscc_subcritical():
         assert pred.c_bond == 0.0 and pred.c_site == 0.0
 
 
-def test_gscc_mode_none_matches_bond_at_one():
+def test_gscc_pi_one_is_unpercolated():
     for dist in (POISSON2, DegreeDistribution.constant(2), DegreeDistribution.geometric(0.4)):
-        none = gscc_fraction(dist, mode="none")
+        site = gscc_fraction(dist, 1.0, "site")
         bond = gscc_fraction(dist, 1.0, "bond")
-        assert none.pi == 1.0
-        assert abs(none.c_bond - bond.c_bond) < 1e-12
-        assert abs(none.zeta - none.c_bond) < 1e-12
-        assert abs(none.zeta - bond.zeta) < 1e-12
+        assert site.pi == 1.0
+        assert abs(site.c_bond - bond.c_bond) < 1e-12
+        assert abs(site.zeta - site.c_bond) < 1e-12
+        assert abs(site.zeta - bond.zeta) < 1e-12
         # zeta reproduces the boundary formula at the reported fixed points
         formula = (
             1.0
-            - _oracles.pgf_eval(dist, none.x_star, 1.0)
-            - _oracles.pgf_eval(dist, 1.0, none.y_star)
-            + _oracles.pgf_eval(dist, none.x_star, none.y_star)
+            - _oracles.pgf_eval(dist, site.x_star, 1.0)
+            - _oracles.pgf_eval(dist, 1.0, site.y_star)
+            + _oracles.pgf_eval(dist, site.x_star, site.y_star)
         )
-        assert abs(none.zeta - formula) < 1e-12
+        assert abs(site.zeta - formula) < 1e-12
 
 
 def test_gscc_monotone_in_pi():
@@ -285,8 +287,9 @@ def test_gscc_errors():
         gscc_fraction(DegreeDistribution({(1, 0): 0.5, (0, 1): 0.5}), 0.5, "bond")
     with pytest.raises(PiOutOfRangeError):
         gscc_fraction(POISSON2, 0.0, "bond")
-    with pytest.raises(ValueError):
-        gscc_fraction(POISSON2, 0.5, "both")
+    for mode in ("both", "none"):
+        with pytest.raises(ValueError, match="mode must be"):
+            gscc_fraction(POISSON2, 0.5, mode)
 
 
 def test_gscc_zeta_poisson():
