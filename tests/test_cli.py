@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -288,6 +289,32 @@ def test_percolate_site_deleted_list(tmp_path, capsys):
     survivors = set(range(n)) - set(ids)
     for s, t in _oracles.edges(read_edge_list(out)):
         assert s in survivors and t in survivors
+
+
+# sha256 prefixes of the `percolate --pi 0.8 --seed 2` outputs (edge list, then
+# deleted ids in site mode) on the smoke test's `sample --dist poisson:2 --n 2000
+# --seed 1` graph.  A change to a single-pi percolation stream must retake them.
+GOLDEN_PERCOLATE = {
+    "bond": ("b02f62eec0dbc8ec", None),
+    "site": ("3123fe02adb8fd21", "d7be96d4d858b3fe"),
+}
+
+
+@pytest.mark.parametrize("mode", GOLDEN_PERCOLATE)
+def test_percolate_outputs_are_pinned(tmp_path, capsys, mode):
+    graph, out, deleted = (tmp_path / name for name in ("g.txt", "p.txt", "d.txt"))
+    assert run_cli(capsys, "sample", "--dist", "poisson:2", "--n", "2000", "--seed", "1",
+                   "--out", str(graph))[0] == 0
+    argv = ["percolate", "--graph", str(graph), "--pi", "0.8", "--mode", mode, "--seed", "2",
+            "--out", str(out)]
+    if mode == "site":
+        argv += ["--deleted-out", str(deleted)]
+    assert run_cli(capsys, *argv)[0] == 0
+    digests = tuple(
+        hashlib.sha256(p.read_bytes()).hexdigest()[:16] if p.exists() else None
+        for p in (out, deleted)
+    )
+    assert digests == GOLDEN_PERCOLATE[mode]
 
 
 def test_scc_output_format(tmp_path, capsys):
