@@ -32,6 +32,7 @@ from .configmodel import (
 from .percolation import (
     PercolationOutcome,
     bond_percolate,
+    percolate_grid,
     site_percolate,
 )
 from .components import (
@@ -85,6 +86,7 @@ __all__ = [
     # percolation
     "PercolationOutcome",
     "bond_percolate",
+    "percolate_grid",
     "site_percolate",
     # components
     "SccPartition",

@@ -1,14 +1,16 @@
 """Seeded Monte Carlo trials over a grid of percolation probabilities.
 
-Each (pi, trial) cell owns an independent Philox stream derived from the
-master seed and the cell's indices, so results do not depend on execution
-order or the degree of parallelism.  A trial realizes a degree sequence,
-samples a uniform simple digraph (loops and doubled edges are switched out;
-a draw is redrawn only after a rejected switching, a passed cap or a triple
-edge), percolates it, and measures the largest strongly connected component.
-A trial whose rejection budget is exhausted is retried with a fresh sub-seed
-up to three rounds, then recorded as failed; failed trials are excluded from
-means but counted in the summary, never silently dropped.
+Each trial owns an independent Philox stream derived from the master seed and
+the trial's index, so results do not depend on execution order or the degree
+of parallelism.  A trial realizes a degree sequence, samples a uniform simple
+digraph (loops and doubled edges are switched out; a draw is redrawn only
+after a rejected switching, a passed cap or a triple edge), percolates that
+one graph at every pi of the grid from one uniform draw, and measures the
+largest strongly connected component at each pi.  A trial's rows are thus
+nested in pi, while trials stay independent.  A trial whose rejection budget
+is exhausted is retried with a fresh sub-seed up to three rounds, then
+recorded as failed at every pi; failed rows are excluded from means but
+counted in the summary, never silently dropped.
 
 By default ``elapsed_ms`` is recorded as 0 so that repeated runs with the
 same master seed produce byte-identical CSV output; set
@@ -19,7 +21,6 @@ of that determinism).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import re
@@ -47,7 +48,7 @@ from .errors import (
     NotGraphicalError,
     RepairFailedError,
 )
-from .percolation import PERCOLATE
+from .percolation import PERCOLATE, percolate_grid
 from .theory import critical_threshold, gscc_fraction
 
 __all__ = [
@@ -66,7 +67,7 @@ __all__ = [
 TRIAL_ROUNDS = 3
 
 # Spawn-key component reserved for the shared sequence of --fixed-sequence
-# runs; pi indices are far below it.
+# runs; the trials' streams use spawn keys (0, trial, round).
 _FIXED_SEQUENCE_KEY = 2**32 - 1
 
 
@@ -134,6 +135,8 @@ def trial_seed(master_seed: int, pi_index: int, trial_index: int, round_index: i
     """Derive the 64-bit stream seed for one trial round.
 
     The derived value alone reproduces the round: ``make_rng(trial_seed(...))``.
+    :func:`run_experiment` takes every trial's stream at ``pi_index`` 0, since
+    one stream serves the trial's whole grid.
     """
     ss = np.random.SeedSequence(
         master_seed, spawn_key=(pi_index, trial_index, round_index)
@@ -149,17 +152,19 @@ def _fixed_sequence_seed(master_seed: int) -> int:
 def _run_trial(
     dist: DegreeDistribution,
     config: ExperimentConfig,
-    pi_index: int,
     trial_index: int,
     fixed_seq: DegreeSequence | None,
-) -> TrialRecord:
-    pi = config.pi_grid[pi_index]
-    t0 = time.perf_counter()
+) -> list[TrialRecord]:
+    """The trial's record at each pi of the grid, in grid order.
+
+    A row's ``elapsed_ms`` runs from the end of the previous row (the first:
+    from the trial's start, so it carries the sampling) to the end of its SCC.
+    """
+    start = time.perf_counter()
     total_attempts = 0
-    m_before = m_after = deleted = largest = 0
-    status = "failed"
+    graph = None
     for round_index in range(TRIAL_ROUNDS):
-        seed = trial_seed(config.master_seed, pi_index, trial_index, round_index)
+        seed = trial_seed(config.master_seed, 0, trial_index, round_index)
         rng = make_rng(seed)
         try:
             seq = realize_sequence(dist, config.n, rng) if fixed_seq is None else fixed_seq
@@ -170,33 +175,48 @@ def _run_trial(
         except (NotGraphicalError, RepairFailedError):
             continue
         total_attempts += attempts
-        outcome = PERCOLATE[config.mode](graph, pi, rng)
-        m_before, m_after = graph.m, outcome.surviving_edges
-        deleted = int(outcome.deleted_vertices.size)
-        largest = strongly_connected_components(outcome.graph).largest[1]
-        status = "ok"
         break
-    elapsed = int((time.perf_counter() - t0) * 1000) if config.record_timing else 0
-    return TrialRecord(
-        pi=pi,
-        trial=trial_index,
-        seed=seed,
-        n=config.n,
-        m_before=m_before,
-        m_after=m_after,
-        deleted=deleted,
-        scc_size=largest,
-        scc_fraction=largest / config.n,
-        attempts=total_attempts,
-        elapsed_ms=elapsed,
-        status=status,
-    )
+    if graph is None:
+        m_before, status, outcomes = 0, "failed", [None] * len(config.pi_grid)
+    else:
+        m_before, status = graph.m, "ok"
+        outcomes = percolate_grid(graph, config.mode, config.pi_grid, rng)
+    records = []
+    booked_ms = 0
+    for pi, outcome in zip(config.pi_grid, outcomes):
+        m_after = deleted = largest = 0
+        if outcome is not None:
+            m_after = outcome.surviving_edges
+            deleted = int(outcome.deleted_vertices.size)
+            largest = strongly_connected_components(outcome.graph).largest[1]
+        elapsed = 0
+        if config.record_timing:
+            # whole milliseconds since the start, less those already booked
+            elapsed = int((time.perf_counter() - start) * 1000) - booked_ms
+            booked_ms += elapsed
+        records.append(
+            TrialRecord(
+                pi=pi,
+                trial=trial_index,
+                seed=seed,
+                n=config.n,
+                m_before=m_before,
+                m_after=m_after,
+                deleted=deleted,
+                scc_size=largest,
+                scc_fraction=largest / config.n,
+                attempts=total_attempts,
+                elapsed_ms=elapsed,
+                status=status,
+            )
+        )
+    return records
 
 
 def run_experiment(
     config: ExperimentConfig, dist: DegreeDistribution | None = None
 ) -> tuple[list[TrialRecord], list[dict]]:
-    """Run all (pi, trial) cells and return (records, per-pi summary).
+    """Run every trial over the whole pi grid and return (records, per-pi summary).
 
     Records come back sorted by (pi index, trial index) regardless of
     ``config.threads``.  CSV and JSON files are written when the config
@@ -220,11 +240,11 @@ def run_experiment(
         if not is_graphical(fixed_seq):
             raise NotGraphicalError(f"the shared degree sequence is not graphical: {fixed_seq!r}")
     with claim_outputs(config.csv_path, config.summary_path):
-        cells = itertools.product(range(len(config.pi_grid)), range(config.trials))
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(
-                pool.map(lambda cell: _run_trial(dist, config, *cell, fixed_seq), cells)
+            trials = list(
+                pool.map(lambda t: _run_trial(dist, config, t, fixed_seq), range(config.trials))
             )
+        records = [rec for pi_rows in zip(*trials) for rec in pi_rows]
         summary = summarize(records, dist, config.mode)
         if config.csv_path:
             write_csv(records, config.csv_path)

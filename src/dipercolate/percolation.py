@@ -15,6 +15,7 @@ quantities divide by pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import PiOutOfRangeError
 __all__ = [
     "PercolationOutcome",
     "bond_percolate",
+    "percolate_grid",
     "site_percolate",
 ]
 
@@ -65,12 +67,40 @@ def check_pi(pi: float) -> float:
     return pi
 
 
+def check_mode(mode: str) -> str:
+    """Return ``mode``, or raise ValueError unless it is a key of ``PERCOLATE``."""
+    if mode not in PERCOLATE:
+        raise ValueError(f"mode must be {' or '.join(map(repr, PERCOLATE))}, got {mode!r}")
+    return mode
+
+
+def percolate_grid(
+    g: Digraph, mode: str, pis: Iterable[float], rng: np.random.Generator
+) -> Iterator[PercolationOutcome]:
+    """Yield the outcome at each ``pi`` of ``pis``, in order, from one draw.
+
+    One uniform per edge (bond) or per vertex (site), ``rng.random(g.m)`` or
+    ``rng.random(g.n)``, serves every ``pi``: an edge or vertex survives at
+    ``pi`` when its uniform lies below ``pi``.  Each outcome has the law of a
+    separate percolation at its ``pi``, and the outcomes are nested: a larger
+    ``pi`` keeps a superset of the edges (and deletes a subset of the
+    vertices).  Every ``pi`` is checked before the draw.
+    """
+    pis = [check_pi(pi) for pi in pis]
+    site = check_mode(mode) == "site"
+    u = rng.random(g.n if site else g.m)
+    for pi in pis:
+        survives = u < pi
+        # an edge survives site percolation while both of its endpoints do
+        keep = survives[g.src] & survives[g.dst] if site else survives
+        deleted = np.flatnonzero(~survives) if site else np.empty(0, dtype=np.int64)
+        percolated = Digraph._from_arrays(g.n, g.src[keep], g.dst[keep])
+        yield PercolationOutcome(percolated, mode, pi, deleted)
+
+
 def bond_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> PercolationOutcome:
     """Keep each edge independently with probability ``pi``; vertices unchanged."""
-    pi = check_pi(pi)
-    keep = rng.random(g.m) < pi
-    percolated = Digraph._from_arrays(g.n, g.src[keep], g.dst[keep])
-    return PercolationOutcome(percolated, "bond", pi, np.empty(0, dtype=np.int64))
+    return next(percolate_grid(g, "bond", (pi,), rng))
 
 
 def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> PercolationOutcome:
@@ -78,11 +108,7 @@ def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> Percolati
 
     Deleted vertices remain in the vertex set with degree (0, 0).
     """
-    pi = check_pi(pi)
-    survives = rng.random(g.n) < pi
-    keep = survives[g.src] & survives[g.dst]
-    percolated = Digraph._from_arrays(g.n, g.src[keep], g.dst[keep])
-    return PercolationOutcome(percolated, "site", pi, np.flatnonzero(~survives))
+    return next(percolate_grid(g, "site", (pi,), rng))
 
 
 # The one map from a mode to its function; the config and the CLI accept its keys.

@@ -34,7 +34,7 @@ import numpy as np
 
 from .degrees import DegreeDistribution
 from .errors import ZeroMeanDegreeError, ZeroMu11Error
-from .percolation import PERCOLATE, check_pi
+from .percolation import check_mode, check_pi
 
 __all__ = [
     "TheoryPrediction",
@@ -239,8 +239,7 @@ def gscc_fraction(dist: DegreeDistribution, pi: float, mode: str = "bond") -> Th
     ------
     ValueError, ZeroMeanDegreeError, ZeroMu11Error, PiOutOfRangeError
     """
-    if mode not in PERCOLATE:
-        raise ValueError(f"mode must be {' or '.join(map(repr, PERCOLATE))}, got {mode!r}")
+    check_mode(mode)
     coeffs = _boundary_coefficients(dist)  # ZeroMeanDegreeError before ZeroMu11Error
     pi_c = critical_threshold(dist).pi_c
     pi = check_pi(pi)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dipercolate import (
     trial_seed,
     write_csv,
 )
-from dipercolate import degrees, experiments
+from dipercolate import degrees, experiments, percolate_grid
 from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError, ZeroMu11Error
 from dipercolate.experiments import CSV_COLUMNS, config_from_mapping
 
@@ -209,19 +210,22 @@ def test_supercritical_beats_subcritical():
     assert by_pi[0.9]["pi_c"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_failed_trials_recorded_not_dropped():
+def failing_config(pi_grid=(0.5,)):
     # const:1 on two vertices accepts with probability 1/2 per draw; with a
     # one-draw budget and 3 rounds each trial fails with probability 1/8
-    config = ExperimentConfig(
+    return ExperimentConfig(
         dist="const:1",
         n=2,
-        pi_grid=(0.5,),
+        pi_grid=pi_grid,
         mode="bond",
         trials=40,
         master_seed=0,
         max_rejection_attempts=1,
     )
-    records, summary = run_experiment(config)
+
+
+def test_failed_trials_recorded_not_dropped():
+    records, summary = run_experiment(failing_config())
     failed = [r for r in records if r.status == "failed"]
     ok = [r for r in records if r.status == "ok"]
     assert failed, "seeded run is expected to contain failures"
@@ -231,6 +235,80 @@ def test_failed_trials_recorded_not_dropped():
     assert row["trials_ok"] == len(ok)
     assert row["trials_failed"] == len(failed)
     assert row["mean"] == pytest.approx(np.mean([r.scc_fraction for r in ok]))
+
+
+# ----- one graph per trial ----------------------------------------------------------
+
+GRID = (0.9, 0.3, 0.6, 1.0)
+
+
+def rows_by_trial(records):
+    """Each trial's records, sorted by pi."""
+    trials: dict[int, list] = {}
+    for r in records:
+        trials.setdefault(r.trial, []).append(r)
+    return [sorted(rows, key=lambda r: r.pi) for rows in trials.values()]
+
+
+def edge_set(graph):
+    return set(zip(graph.src.tolist(), graph.dst.tolist()))
+
+
+@pytest.mark.parametrize("mode", ["bond", "site"])
+def test_trial_percolations_are_nested(monkeypatch, mode):
+    per_trial = []
+
+    def recording(*args):
+        per_trial.append([])
+        for outcome in percolate_grid(*args):
+            per_trial[-1].append(outcome)
+            yield outcome
+
+    monkeypatch.setattr(experiments, "percolate_grid", recording)
+    run_experiment(small_config(mode=mode, pi_grid=GRID))
+    assert [len(outcomes) for outcomes in per_trial] == [len(GRID)] * 3
+    for outcomes in per_trial:
+        outcomes.sort(key=lambda out: out.pi)
+        for lower, higher in zip(outcomes, outcomes[1:]):
+            assert edge_set(lower.graph) <= edge_set(higher.graph)
+            assert set(higher.deleted_vertices.tolist()) <= set(lower.deleted_vertices.tolist())
+        assert len(edge_set(outcomes[0].graph)) < len(edge_set(outcomes[-1].graph))
+
+
+@pytest.mark.parametrize("mode", ["bond", "site"])
+def test_trial_rows_share_a_graph_and_grow_with_pi(mode):
+    records, _ = run_experiment(small_config(mode=mode, pi_grid=GRID, trials=4))
+    for rows in rows_by_trial(records):
+        assert [r.pi for r in rows] == sorted(GRID)
+        assert len({(r.seed, r.attempts, r.m_before) for r in rows}) == 1
+        for column in ("m_after", "scc_size"):
+            values = [getattr(r, column) for r in rows]
+            assert values == sorted(values), column
+        assert rows[-1].m_after == rows[-1].m_before  # pi = 1 keeps every edge
+
+
+def test_failed_trial_fails_at_every_pi():
+    records, summary = run_experiment(failing_config(pi_grid=GRID))
+    trials = rows_by_trial(records)
+    failed = [rows for rows in trials if rows[0].status == "failed"]
+    assert failed, "seeded run is expected to contain failures"
+    for rows in trials:
+        assert len({(r.status, r.seed, r.attempts, r.m_before) for r in rows}) == 1
+    for rows in failed:
+        assert all(r.attempts == 3 and r.scc_size == 0 and r.m_after == 0 for r in rows)
+    assert [row["trials_failed"] for row in summary] == [len(failed)] * len(GRID)
+
+
+def test_record_timing_rows_sum_to_trial_wall_time(monkeypatch):
+    # a clock read at the trial's start and after each row's SCC: the rows end
+    # 12.3, 45.6 and 500 ms after the start
+    ticks = iter([100.0, 100.0123, 100.0456, 100.5])
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    records, _ = run_experiment(
+        small_config(pi_grid=(0.9, 0.3, 0.6), trials=1, record_timing=True)
+    )
+    # the first row carries the sampling; whole milliseconds add up to the trial's 500
+    assert [r.elapsed_ms for r in records] == [12, 33, 455]
 
 
 def test_hopeless_inputs_raise_before_any_trial(tmp_path, monkeypatch):
@@ -371,8 +449,8 @@ def test_csv_format_and_determinism(tmp_path):
 # sha256 prefixes of the CSV and summary JSON bytes of two small runs.  A change
 # that alters the random streams or the tables on purpose must retake them.
 GOLDEN_RUNS = {
-    "poisson-site": ("2484b8b4d8907677", "b93b14bf735f4229"),
-    "reversed-file-bond": ("472f3a5399ffff23", "b8dabb1b50a804bb"),
+    "poisson-site": ("61fa5f099350fa0a", "0072677a91f4313d"),
+    "reversed-file-bond": ("52d328154005c927", "31f0c3c44621f1ff"),
 }
 # the (j, k, p) rows of a small table, in decreasing (j, k) order
 REVERSED_TABLE = "3 1 0.0625\n2 2 0.25\n1 3 0.0625\n1 1 0.5\n0 0 0.125\n"

@@ -4,9 +4,12 @@ from scipy import stats
 
 import _oracles
 from dipercolate import (
+    DegreeDistribution,
     DegreeSequence,
     Digraph,
     bond_percolate,
+    percolate_grid,
+    realize_sequence,
     sample_simple,
     site_percolate,
 )
@@ -100,6 +103,40 @@ def test_percolation_deterministic_and_seed_sensitive():
     assert edge_sig(a.graph) == edge_sig(b.graph)
     c = bond_percolate(g, 0.5, rng_for(12))
     assert edge_sig(a.graph) != edge_sig(c.graph)
+
+
+# ----- one draw for a whole pi grid --------------------------------------------
+
+GRID = (0.9, 0.3, 0.55, 1.0)
+
+
+def sampled_graph(n=400, seed=5):
+    rng = rng_for(seed)
+    graph, _ = sample_simple(realize_sequence(DegreeDistribution.poisson(2.0), n, rng), rng)
+    return graph
+
+
+@pytest.mark.parametrize("mode", PERCOLATE)
+def test_grid_outcome_is_the_one_point_outcome(mode):
+    # each pi of the grid gets exactly what a single-pi call on the same stream gets
+    g = sampled_graph()
+    outcomes = list(percolate_grid(g, mode, GRID, rng_for(8)))
+    assert [(out.pi, out.mode) for out in outcomes] == [(pi, mode) for pi in GRID]
+    for pi, out in zip(GRID, outcomes):
+        one = PERCOLATE[mode](g, pi, rng_for(8))
+        assert np.array_equal(out.graph.src, one.graph.src)
+        assert np.array_equal(out.graph.dst, one.graph.dst)
+        assert np.array_equal(out.deleted_vertices, one.deleted_vertices)
+
+
+@pytest.mark.parametrize("mode", PERCOLATE)
+def test_grid_checks_every_pi_and_the_mode_before_drawing(mode):
+    rng = rng_for(8)
+    with pytest.raises(PiOutOfRangeError):
+        next(percolate_grid(two_cycle(), mode, (0.5, 0.0), rng))
+    with pytest.raises(ValueError, match="mode must be"):
+        next(percolate_grid(two_cycle(), mode.upper(), (0.5,), rng))
+    assert rng.random() == rng_for(8).random()  # nothing was drawn
 
 
 # ----- distributional checks ----------------------------------------------------
