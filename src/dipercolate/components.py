@@ -61,6 +61,7 @@ def strongly_connected_components(g: Digraph) -> SccPartition:
     """Label every vertex with its strongly connected component."""
     if g.n == 0:
         return SccPartition(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
+    # from COO pairs, so repeated edges are summed and scipy gets a canonical CSR
     data = np.ones(g.m, dtype=np.int8)
     adjacency = csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
     ncomp, labels = connected_components(

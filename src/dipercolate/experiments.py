@@ -6,11 +6,12 @@ of parallelism.  A trial realizes a degree sequence, samples a uniform simple
 digraph (loops and doubled edges are switched out; a draw is redrawn only
 after a rejected switching, a passed cap or a triple edge), percolates that
 one graph at every pi of the grid from one uniform draw, and measures the
-largest strongly connected component at each pi.  A trial's rows are thus
-nested in pi, while trials stay independent.  A trial whose rejection budget
-is exhausted is retried with a fresh sub-seed up to three rounds, then
-recorded as failed at every pi; failed rows are excluded from means but
-counted in the summary, never silently dropped.
+largest strongly connected component at each pi, from the largest pi down,
+each pi searching only inside the strong components of the one before.  A
+trial's rows are thus nested in pi, while trials stay independent.  A trial
+whose rejection budget is exhausted is retried with a fresh sub-seed up to
+three rounds, then recorded as failed at every pi; failed rows are excluded
+from means but counted in the summary, never silently dropped.
 
 By default ``elapsed_ms`` is recorded as 0 so that repeated runs with the
 same master seed produce byte-identical CSV output; set
@@ -31,7 +32,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .components import strongly_connected_components
 from .configmodel import sample_simple
 from .degrees import (
     DegreeDistribution,
@@ -157,8 +157,10 @@ def _run_trial(
 ) -> list[TrialRecord]:
     """The trial's record at each pi of the grid, in grid order.
 
-    A row's ``elapsed_ms`` runs from the end of the previous row (the first:
-    from the trial's start, so it carries the sampling) to the end of its SCC.
+    :func:`percolate_grid` measures the grid from the largest pi down, and
+    ``elapsed_ms`` is booked in that order: a row's runs from the end of the
+    next larger pi's row (the largest pi's: from the trial's start, so it
+    carries the sampling) to the end of its SCC.
     """
     start = time.perf_counter()
     total_attempts = 0
@@ -177,40 +179,33 @@ def _run_trial(
         total_attempts += attempts
         break
     if graph is None:
-        m_before, status, outcomes = 0, "failed", [None] * len(config.pi_grid)
+        m_before, status, points = 0, "failed", [(None, 0, 0, 0)] * len(config.pi_grid)
     else:
         m_before, status = graph.m, "ok"
-        outcomes = percolate_grid(graph, config.mode, config.pi_grid, rng)
-    records = []
+        points = percolate_grid(graph, config.mode, config.pi_grid, rng)
+    records = {}
     booked_ms = 0
-    for pi, outcome in zip(config.pi_grid, outcomes):
-        m_after = deleted = largest = 0
-        if outcome is not None:
-            m_after = outcome.surviving_edges
-            deleted = int(outcome.deleted_vertices.size)
-            largest = strongly_connected_components(outcome.graph).largest[1]
+    for pi, (_, m_after, deleted, largest) in zip(sorted(config.pi_grid, reverse=True), points):
         elapsed = 0
         if config.record_timing:
             # whole milliseconds since the start, less those already booked
             elapsed = int((time.perf_counter() - start) * 1000) - booked_ms
             booked_ms += elapsed
-        records.append(
-            TrialRecord(
-                pi=pi,
-                trial=trial_index,
-                seed=seed,
-                n=config.n,
-                m_before=m_before,
-                m_after=m_after,
-                deleted=deleted,
-                scc_size=largest,
-                scc_fraction=largest / config.n,
-                attempts=total_attempts,
-                elapsed_ms=elapsed,
-                status=status,
-            )
+        records[pi] = TrialRecord(
+            pi=pi,
+            trial=trial_index,
+            seed=seed,
+            n=config.n,
+            m_before=m_before,
+            m_after=m_after,
+            deleted=deleted,
+            scc_size=largest,
+            scc_fraction=largest / config.n,
+            attempts=total_attempts,
+            elapsed_ms=elapsed,
+            status=status,
         )
-    return records
+    return [records[pi] for pi in config.pi_grid]
 
 
 def run_experiment(

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .components import strongly_connected_components
 from .configmodel import Digraph
 from .errors import PiOutOfRangeError
 
@@ -74,33 +75,55 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def percolate_grid(
-    g: Digraph, mode: str, pis: Iterable[float], rng: np.random.Generator
-) -> Iterator[PercolationOutcome]:
-    """Yield the outcome at each ``pi`` of ``pis``, in order, from one draw.
-
-    One uniform per edge (bond) or per vertex (site), ``rng.random(g.m)`` or
-    ``rng.random(g.n)``, serves every ``pi``: an edge or vertex survives at
-    ``pi`` when its uniform lies below ``pi``.  Each outcome has the law of a
-    separate percolation at its ``pi``, and the outcomes are nested: a larger
-    ``pi`` keeps a superset of the edges (and deletes a subset of the
-    vertices).  Every ``pi`` is checked before the draw.
-    """
+def _draw(g: Digraph, mode: str, pis: Iterable[float], rng: np.random.Generator):
+    """Check every ``pi`` and the mode, then draw one uniform per vertex (site) or edge (bond)."""
     pis = [check_pi(pi) for pi in pis]
     site = check_mode(mode) == "site"
-    u = rng.random(g.n if site else g.m)
-    for pi in pis:
-        survives = u < pi
-        # an edge survives site percolation while both of its endpoints do
-        keep = survives[g.src] & survives[g.dst] if site else survives
-        deleted = np.flatnonzero(~survives) if site else np.empty(0, dtype=np.int64)
-        percolated = Digraph._from_arrays(g.n, g.src[keep], g.dst[keep])
-        yield PercolationOutcome(percolated, mode, pi, deleted)
+    return pis, site, rng.random(g.n if site else g.m)
+
+
+def percolate_grid(
+    g: Digraph, mode: str, pis: Iterable[float], rng: np.random.Generator
+) -> Iterator[tuple[float, int, int, int]]:
+    """Yield ``(pi, surviving_edges, deleted, largest_scc)``, from the largest ``pi`` down.
+
+    One draw, as in :func:`bond_percolate` or :func:`site_percolate`, serves
+    every ``pi``: each ``pi`` has the law of a separate percolation, and the
+    percolated graphs are nested, so every strong component at a ``pi`` lies
+    inside one at the next larger ``pi``.  Each ``pi`` thus searches only the
+    edges inside the previous one's components of two or more vertices.
+    Every ``pi`` is checked before the draw.
+    """
+    pis, site, u = _draw(g, mode, pis, rng)
+    # an edge survives site percolation while both endpoints do: while their larger uniform does
+    w = np.maximum(u[g.src], u[g.dst]) if site else u
+    n, src, dst, cw, part = g.n, g.src, g.dst, w, None
+    for pi in sorted(pis, reverse=True):
+        if part is not None:
+            labels = part.component_id
+            inner = part.component_sizes[labels] >= 2
+            stay = (labels[src] == labels[dst]) & inner[src]
+            index = np.cumsum(inner) - 1  # the kept vertices' new ids
+            n, src, dst, cw = int(inner.sum()), index[src[stay]], index[dst[stay]], cw[stay]
+        keep = cw < pi
+        src, dst, cw = src[keep], dst[keep], cw[keep]
+        part = strongly_connected_components(Digraph._from_arrays(n, src, dst))
+        deleted = int(np.count_nonzero(u >= pi)) if site else 0
+        yield pi, int(np.count_nonzero(w < pi)), deleted, max(part.largest[1], min(g.n, 1))
+
+
+def _percolate(g: Digraph, mode: str, pi: float, rng: np.random.Generator) -> PercolationOutcome:
+    (pi,), site, u = _draw(g, mode, (pi,), rng)
+    survives = u < pi
+    del u  # release the draw before the percolated arrays are allocated
+    keep = survives[g.src] & survives[g.dst] if site else survives
+    deleted = np.flatnonzero(~survives) if site else np.empty(0, dtype=np.int64)
+    return PercolationOutcome(Digraph._from_arrays(g.n, g.src[keep], g.dst[keep]), mode, pi, deleted)
 
 
 def bond_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> PercolationOutcome:
     """Keep each edge independently with probability ``pi``; vertices unchanged."""
-    return next(percolate_grid(g, "bond", (pi,), rng))
+    return _percolate(g, "bond", pi, rng)
 
 
 def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> PercolationOutcome:
@@ -108,7 +131,7 @@ def site_percolate(g: Digraph, pi: float, rng: np.random.Generator) -> Percolati
 
     Deleted vertices remain in the vertex set with degree (0, 0).
     """
-    return next(percolate_grid(g, "site", (pi,), rng))
+    return _percolate(g, "site", pi, rng)
 
 
 # The one map from a mode to its function; the config and the CLI accept its keys.

@@ -18,7 +18,7 @@ from dipercolate import (
     trial_seed,
     write_csv,
 )
-from dipercolate import degrees, experiments, percolate_grid
+from dipercolate import degrees, experiments
 from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError, ZeroMu11Error
 from dipercolate.experiments import CSV_COLUMNS, config_from_mapping
 
@@ -250,29 +250,19 @@ def rows_by_trial(records):
     return [sorted(rows, key=lambda r: r.pi) for rows in trials.values()]
 
 
-def edge_set(graph):
-    return set(zip(graph.src.tolist(), graph.dst.tolist()))
-
-
 @pytest.mark.parametrize("mode", ["bond", "site"])
-def test_trial_percolations_are_nested(monkeypatch, mode):
-    per_trial = []
-
-    def recording(*args):
-        per_trial.append([])
-        for outcome in percolate_grid(*args):
-            per_trial[-1].append(outcome)
-            yield outcome
-
-    monkeypatch.setattr(experiments, "percolate_grid", recording)
-    run_experiment(small_config(mode=mode, pi_grid=GRID))
-    assert [len(outcomes) for outcomes in per_trial] == [len(GRID)] * 3
-    for outcomes in per_trial:
-        outcomes.sort(key=lambda out: out.pi)
-        for lower, higher in zip(outcomes, outcomes[1:]):
-            assert edge_set(lower.graph) <= edge_set(higher.graph)
-            assert set(higher.deleted_vertices.tolist()) <= set(lower.deleted_vertices.tolist())
-        assert len(edge_set(outcomes[0].graph)) < len(edge_set(outcomes[-1].graph))
+def test_grid_rows_are_the_single_pi_rows(tmp_path, mode):
+    # an unsorted grid with a point below pi_c = 0.5: each pi's rows are the
+    # rows of a run over that pi alone, with the same seed
+    grid = (0.9, 0.45, 0.7)
+    settings = dict(mode=mode, trials=3, n=1000, master_seed=5)
+    run_experiment(small_config(pi_grid=grid, csv_path=str(tmp_path / "grid.csv"), **settings))
+    one = []
+    for pi in grid:
+        path = tmp_path / f"one_{pi}.csv"
+        run_experiment(small_config(pi_grid=(pi,), csv_path=str(path), **settings))
+        one += path.read_text().splitlines()[1:]
+    assert (tmp_path / "grid.csv").read_text().splitlines()[1:] == one
 
 
 @pytest.mark.parametrize("mode", ["bond", "site"])
@@ -300,15 +290,15 @@ def test_failed_trial_fails_at_every_pi():
 
 
 def test_record_timing_rows_sum_to_trial_wall_time(monkeypatch):
-    # a clock read at the trial's start and after each row's SCC: the rows end
-    # 12.3, 45.6 and 500 ms after the start
+    # a clock read at the trial's start and after each pi's SCC, from the
+    # largest pi down: pi = 0.9, 0.6 and 0.3 end 12.3, 45.6 and 500 ms after it
     ticks = iter([100.0, 100.0123, 100.0456, 100.5])
     monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     records, _ = run_experiment(
         small_config(pi_grid=(0.9, 0.3, 0.6), trials=1, record_timing=True)
     )
-    # the first row carries the sampling; whole milliseconds add up to the trial's 500
-    assert [r.elapsed_ms for r in records] == [12, 33, 455]
+    # the largest pi carries the sampling; whole milliseconds add up to the trial's 500
+    assert [r.elapsed_ms for r in records] == [12, 455, 33]
 
 
 def test_hopeless_inputs_raise_before_any_trial(tmp_path, monkeypatch):

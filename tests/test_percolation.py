@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import _oracles
@@ -12,6 +13,7 @@ from dipercolate import (
     realize_sequence,
     sample_simple,
     site_percolate,
+    strongly_connected_components,
 )
 from dipercolate.degrees import require_valid
 from dipercolate.errors import PiOutOfRangeError
@@ -116,17 +118,52 @@ def sampled_graph(n=400, seed=5):
     return graph
 
 
+def one_point(g, mode, pi, seed):
+    """(pi, m_after, deleted, largest) of a single-pi percolation and a full SCC."""
+    out = PERCOLATE[mode](g, pi, rng_for(seed))
+    largest = strongly_connected_components(out.graph).largest[1]
+    return (pi, out.surviving_edges, out.deleted_vertices.size, largest)
+
+
 @pytest.mark.parametrize("mode", PERCOLATE)
 def test_grid_outcome_is_the_one_point_outcome(mode):
-    # each pi of the grid gets exactly what a single-pi call on the same stream gets
+    # each pi of the grid, visited from the largest down, counts and measures
+    # exactly what a single-pi call on the same stream does
     g = sampled_graph()
-    outcomes = list(percolate_grid(g, mode, GRID, rng_for(8)))
-    assert [(out.pi, out.mode) for out in outcomes] == [(pi, mode) for pi in GRID]
-    for pi, out in zip(GRID, outcomes):
-        one = PERCOLATE[mode](g, pi, rng_for(8))
-        assert np.array_equal(out.graph.src, one.graph.src)
-        assert np.array_equal(out.graph.dst, one.graph.dst)
-        assert np.array_equal(out.deleted_vertices, one.deleted_vertices)
+    points = list(percolate_grid(g, mode, GRID, rng_for(8)))
+    assert points == [one_point(g, mode, pi, 8) for pi in sorted(GRID, reverse=True)]
+
+
+@pytest.mark.parametrize("mode", PERCOLATE)
+def test_grid_below_pi_c_and_without_edges_has_singletons(mode):
+    # poisson:2 has pi_c = 0.5; at pi <= 0.2 no cycle survives on this stream
+    subcritical = (0.1, 0.2, 0.05)
+    for g in (sampled_graph(), Digraph(5, [], [])):
+        points = list(percolate_grid(g, mode, subcritical, rng_for(3)))
+        assert [largest for *_, largest in points] == [1, 1, 1]
+        assert points == [one_point(g, mode, pi, 3) for pi in sorted(subcritical, reverse=True)]
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = sorted(draw(st.sets(pairs.filter(lambda e: e[0] != e[1]), max_size=40))) if n else []
+    return Digraph(n, [a for a, _ in edges], [b for _, b in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=small_digraphs(),
+    mode=st.sampled_from(sorted(PERCOLATE)),
+    pis=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chained_levels_match_one_point_percolation(g, mode, pis, seed):
+    points = list(percolate_grid(g, mode, pis, rng_for(seed)))
+    assert points == [one_point(g, mode, pi, seed) for pi in sorted(pis, reverse=True)]
+    # plain Python numbers, so a record's repr does not depend on numpy's
+    assert {tuple(map(type, point)) for point in points} == {(float, int, int, int)}
 
 
 @pytest.mark.parametrize("mode", PERCOLATE)
