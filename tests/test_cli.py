@@ -199,6 +199,38 @@ def test_theory_bond_requires_pi(capsys):
     assert "--pi" in err
 
 
+# A table whose in- and out-degrees correlate: mu = 2, so 1/mu = 0.5, but
+# pi_c = mu/mu_11 = 0.6.
+CORRELATED_TABLE = "# j k p\n1 3 0.3333333333333333\n2 2 0.3333333333333333\n3 1 0.3333333333333333\n"
+
+# sha256 prefixes of `theory` stdout at --pi 0.8, 1 and pi_c * (1 + 1e-3).  A
+# change to any printed field (x_star, y_star, zeta, solver_*, ...) must retake them.
+GOLDEN_THEORY = {
+    "poisson:2": ("bc11528eff2e9182", "97aa65a7af624c3a", "ced27b067da2069b"),
+    "geometric:0.3": ("156f4f904009f992", "039e10a80fd65f1f", "5fb81e53a85e8338"),
+    "file": ("b7f38c67dc05f98e", "89e810f01f11a2a7", "cee916d3c566889e"),
+}
+
+
+@pytest.mark.parametrize("spec", GOLDEN_THEORY)
+def test_theory_outputs_are_pinned(tmp_path, capsys, spec):
+    if spec == "file":
+        table = tmp_path / "correlated.txt"
+        table.write_text(CORRELATED_TABLE)
+        spec_arg = f"file:{table}"
+    else:
+        spec_arg = spec
+    code, out, _ = run_cli(capsys, "theory", "--dist", spec_arg, "--pi", "1")
+    assert code == 0
+    near_critical = repr(json.loads(out)["pi_c"] * (1 + 1e-3))
+    digests = []
+    for pi in ("0.8", "1", near_critical):
+        code, out, _ = run_cli(capsys, "theory", "--dist", spec_arg, "--pi", pi)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == GOLDEN_THEORY[spec]
+
+
 # ----- sample / percolate / scc pipeline ------------------------------------------
 
 
