@@ -197,6 +197,12 @@ def _stubs(seq: DegreeSequence) -> _Stubs:
     return cached
 
 
+def _shuffled_out_owners(stubs: _Stubs, rng: np.random.Generator) -> np.ndarray:
+    """``src`` of a uniform perfect stub matching: the out-stub owners in random order."""
+    # numpy would shuffle an empty input in place, and out_owner is read-only
+    return rng.permutation(stubs.out_owner) if stubs.out_owner.size else stubs.out_owner
+
+
 def _switch_out(kind, stubs: _Stubs, src: np.ndarray, found: np.ndarray, rng) -> bool:
     """Switch every defect in ``found`` out of ``src`` in place; False when
     the draw is rejected.  A step picks an ordering i (``kind.orderings`` per
@@ -407,10 +413,7 @@ def sample_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Digra
     """
     require_valid(seq)
     stubs = _stubs(seq)
-    out_owner = stubs.out_owner
-    # numpy would shuffle an empty input in place, and out_owner is read-only
-    src = rng.permutation(out_owner) if out_owner.size else out_owner
-    return Digraph._from_arrays(seq.n, src, stubs.in_owner)
+    return Digraph._from_arrays(seq.n, _shuffled_out_owners(stubs, rng), stubs.in_owner)
 
 
 def sample_simple(
@@ -439,9 +442,9 @@ def sample_simple(
         raise NotGraphicalError("sequence is not realizable by a simple digraph")
     n = seq.n
     stubs = _stubs(seq)
-    in_owner, out_owner = stubs.in_owner, stubs.out_owner
+    in_owner = stubs.in_owner
     for attempt in range(1, max_attempts + 1):
-        src = rng.permutation(out_owner) if out_owner.size else out_owner
+        src = _shuffled_out_owners(stubs, rng)
         loops = np.flatnonzero(src == in_owner)
         if loops.size and not _switch_out(_LoopRemoval, stubs, src, loops, rng):
             continue

@@ -245,9 +245,6 @@ class DegreeDistribution:
         (in, out).
     moments : dict[(int, int), float]
         Cached mu_il for i, l in {0, 1, 2}, computed over the stored support.
-    truncation_loss : float
-        Tail mass removed when the table was truncated (0 unless built from
-        an infinite-support family).
     """
 
     BALANCE_TOL = 1e-9
@@ -255,15 +252,15 @@ class DegreeDistribution:
     def __init__(self, probs: Mapping[tuple[int, int], float]):
         keys = [(j, k) for j, k in probs]
         ps = np.array(list(probs.values()), dtype=np.float64)
-        self._init_arrays([j for j, _ in keys], [k for _, k in keys], ps, 0.0)
+        self._init_arrays([j for j, _ in keys], [k for _, k in keys], ps)
 
     @classmethod
-    def _from_arrays(cls, js, ks, ps, truncation_loss: float = 0.0) -> "DegreeDistribution":
+    def _from_arrays(cls, js, ks, ps) -> "DegreeDistribution":
         obj = cls.__new__(cls)
-        obj._init_arrays(js, ks, ps, truncation_loss)
+        obj._init_arrays(js, ks, ps)
         return obj
 
-    def _init_arrays(self, js, ks, ps, truncation_loss):
+    def _init_arrays(self, js, ks, ps):
         """Validate and store a table given as arrays, sorting its rows by (in, out)."""
         if not ps.size:
             raise DistributionFormatError("empty distribution")
@@ -294,7 +291,6 @@ class DegreeDistribution:
         self.js = js
         self.ks = ks
         self.ps = ps
-        self.truncation_loss = float(truncation_loss)
         self.moments = _moment_sums(js, ks, ps)
         mu10, mu01 = self.moments[(1, 0)], self.moments[(0, 1)]
         if abs(mu10 - mu01) > self.BALANCE_TOL * max(1.0, mu10, mu01):
@@ -390,19 +386,18 @@ class DegreeDistribution:
     @classmethod
     def _from_product(cls, marginal: np.ndarray) -> "DegreeDistribution":
         table = np.outer(marginal, marginal)
-        kept = table.sum()
-        loss = 1.0 - kept
+        loss = 1.0 - table.sum()
         if loss >= FAMILY_TAIL_MASS * 2:
             raise DistributionFormatError(
                 f"truncation removed {loss!r} mass, more than requested"
             )
-        return cls.from_table(table, truncation_loss=max(loss, 0.0))
+        return cls.from_table(table)
 
     @classmethod
-    def from_table(cls, table: np.ndarray, truncation_loss: float = 0.0) -> "DegreeDistribution":
+    def from_table(cls, table: np.ndarray) -> "DegreeDistribution":
         """Distribution over the positive entries of a dense 2-D table p[j, k]."""
         js, ks = np.nonzero(table > 0.0)
-        return cls._from_arrays(js, ks, table[js, ks], truncation_loss)
+        return cls._from_arrays(js, ks, table[js, ks])
 
 
 def _moment_sums(js, ks, weights, orders=MOMENT_ORDERS) -> dict[tuple[int, int], float]:

@@ -1,7 +1,9 @@
 """Exception types raised by the library.
 
-Every exception derives from :class:`DipercolateError` so callers (and the
-CLI) can catch library failures with a single handler.
+Inputs the library cannot work with raise a :class:`DipercolateError`.  A bad
+argument raises a bare :class:`ValueError` instead: in ``check_mode``,
+``Digraph``, ``DegreeSequence``, ``realize_sequence``, ``sample_simple``, the
+family constructors and ``simple_probability``.  The CLI catches both (exit 2).
 """
 
 

@@ -48,7 +48,7 @@ from .errors import (
     NotGraphicalError,
     RepairFailedError,
 )
-from .percolation import PERCOLATE, percolate_grid
+from .percolation import check_mode, check_pi, percolate_grid
 from .theory import critical_threshold, gscc_fraction
 
 __all__ = [
@@ -87,16 +87,18 @@ class ExperimentConfig:
     summary_path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in PERCOLATE:
-            raise ConfigError(f"mode must be {' or '.join(map(repr, PERCOLATE))}, got {self.mode!r}")
+        try:
+            check_mode(self.mode)
+            for pi in self.pi_grid:
+                check_pi(pi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if not self.pi_grid:
             raise ConfigError("pi_grid must be nonempty")
-        if any(not 0.0 < pi <= 1.0 for pi in self.pi_grid):
-            raise ConfigError("pi_grid entries must lie in (0, 1]")
         if len(set(self.pi_grid)) < len(self.pi_grid):
             raise ConfigError(f"pi_grid {self.pi_grid} repeats a value; records are keyed by pi")
         if self.master_seed < 0:
@@ -138,14 +140,16 @@ def trial_seed(master_seed: int, pi_index: int, trial_index: int, round_index: i
     :func:`run_experiment` takes every trial's stream at ``pi_index`` 0, since
     one stream serves the trial's whole grid.
     """
-    ss = np.random.SeedSequence(
-        master_seed, spawn_key=(pi_index, trial_index, round_index)
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _stream_seed(master_seed, pi_index, trial_index, round_index)
 
 
 def _fixed_sequence_seed(master_seed: int) -> int:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_FIXED_SEQUENCE_KEY,))
+    return _stream_seed(master_seed, _FIXED_SEQUENCE_KEY)
+
+
+def _stream_seed(master_seed: int, *spawn_key: int) -> int:
+    """The 64-bit seed of the stream at ``spawn_key`` under ``master_seed``."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 

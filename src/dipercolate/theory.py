@@ -52,18 +52,12 @@ MAX_SOLVER_ITERS = 200
 EPS = np.finfo(np.float64).eps
 
 
-def _require_mu(dist: DegreeDistribution) -> float:
-    mu = dist.mu
-    if mu <= 0.0:
-        raise ZeroMeanDegreeError("mean degree is zero")
-    return mu
-
-
 def _boundary_coefficients(dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors (a, b) of U_minus and U_plus, each normalized by its
     own total (mu_01 and mu_10, which agree within BALANCE_TOL) so that the
     fixed point at 1 the solver divides out is exact."""
-    _require_mu(dist)
+    if dist.mu <= 0.0:
+        raise ZeroMeanDegreeError("mean degree is zero")
     a = np.bincount(dist.js, weights=dist.ks * dist.ps)
     b = np.bincount(dist.ks, weights=dist.js * dist.ps)
     return a / a.sum(), b / b.sum()
@@ -120,12 +114,11 @@ def critical_threshold(dist: DegreeDistribution) -> CriticalThreshold:
     ------
     ZeroMu11Error
         If mu_11 = 0: the threshold is undefined and no GSCC exists at any pi.
+        (Each term j k p of mu_11 has j, k >= 1, so mu_11 > 0 implies mu > 0.)
     """
-    mu11 = dist.mu11
-    if mu11 <= 0.0:
+    if dist.mu11 <= 0.0:
         raise ZeroMu11Error("mu_11 is zero; no GSCC at any pi")
-    mu = _require_mu(dist)
-    return CriticalThreshold(mu / mu11)
+    return CriticalThreshold(dist.mu / dist.mu11)
 
 
 def _one_minus_pow(t: float, d: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from dipercolate import (
     DegreeDistribution,
@@ -317,7 +318,8 @@ def test_poisson_family_moments():
     lam = 2.0
     dist = DegreeDistribution.poisson(lam)
     assert dist.ps.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.truncation_loss < 2e-12
+    # each marginal loses its tail past the kept support
+    assert 2 * special.pdtrc(dist.max_in, lam) < 2e-12
     assert dist.mu == pytest.approx(lam, abs=1e-9)
     assert dist.mu11 == pytest.approx(lam * lam, abs=1e-9)
     assert dist.mu20 == pytest.approx(lam + lam * lam, abs=1e-9)
@@ -345,7 +347,7 @@ def test_constant_rejects_non_integer_degree():
 
 def test_poisson_zero_is_the_point_mass_at_zero():
     dist = DegreeDistribution.poisson(0)
-    assert _oracles.support(dist) == {(0, 0): 1.0} and dist.truncation_loss == 0.0
+    assert _oracles.support(dist) == {(0, 0): 1.0} and special.pdtrc(dist.max_in, 0) == 0.0
 
 
 def test_distribution_from_spec():
@@ -618,6 +620,12 @@ def test_sequence_file_bad_line_names_path_and_line(tmp_path, text, lineno):
 
 
 def test_truncation_loss_bound():
-    # truncation removes less than the advertised tail mass
+    # truncation removes less than the advertised tail mass: the two marginals'
+    # tails past the kept support
     for lam in (0.5, 2.0, 5.0):
-        assert DegreeDistribution.poisson(lam).truncation_loss < 2e-12
+        dist = DegreeDistribution.poisson(lam)
+        assert dist.max_in == dist.max_out
+        assert 2 * special.pdtrc(dist.max_in, lam) < 2e-12
+    for p in (0.3, 0.05):
+        dist = DegreeDistribution.geometric(p)
+        assert 2 * (1 - p) ** (dist.max_in + 1) < 2e-12

@@ -21,6 +21,7 @@ from dipercolate import (
 from dipercolate import degrees, experiments
 from dipercolate.errors import ConfigError, NotGraphicalError, RepairFailedError, ZeroMu11Error
 from dipercolate.experiments import CSV_COLUMNS, config_from_mapping
+from dipercolate.percolation import check_mode, check_pi
 
 
 def small_config(**kwargs):
@@ -56,6 +57,25 @@ def test_config_validation():
         small_config(threads=0)
     with pytest.raises(ConfigError):
         small_config(master_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value, check, bad",
+    [
+        ("pi_grid", (0.5, 0.0), check_pi, 0.0),
+        ("pi_grid", (1.5,), check_pi, 1.5),
+        ("pi_grid", (float("nan"), 0.5), check_pi, float("nan")),
+        ("mode", "both", check_mode, "both"),
+    ],
+    ids=["pi-zero", "pi-above-one", "pi-nan", "mode-both"],
+)
+def test_config_reports_the_percolation_checks(field, value, check, bad):
+    # the config states no pi or mode rule of its own: it relays the message
+    with pytest.raises(ValueError) as expected:
+        check(bad)
+    with pytest.raises(ConfigError) as got:
+        small_config(**{field: value})
+    assert str(got.value) == str(expected.value)
 
 
 def test_config_file_parsing(tmp_path):

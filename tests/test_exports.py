@@ -62,6 +62,7 @@ def test_removed_names_are_gone(name):
 def test_removed_attributes_are_gone():
     records = {
         "DegreeDistribution.support": dp.DegreeDistribution.constant(1),
+        "DegreeDistribution.truncation_loss": dp.DegreeDistribution.poisson(2),
         "Digraph.edge_multiplicities": dp.Digraph(1, [], []),
         "Digraph.edges": dp.Digraph(1, [], []),
         "CriticalThreshold.supercritical_possible": dp.critical_threshold(

@@ -185,6 +185,16 @@ def test_critical_threshold_examples():
         critical_threshold(DegreeDistribution({(1, 0): 0.5, (0, 1): 0.5}))
 
 
+def test_critical_threshold_is_not_one_over_mu():
+    # correlated in/out-degrees: mu = 2 but mu_11 = 10/3, so pi_c = 0.6, not 1/mu = 0.5
+    dist = DegreeDistribution({(1, 3): 1 / 3, (2, 2): 1 / 3, (3, 1): 1 / 3})
+    assert dist.mu == pytest.approx(2.0, abs=1e-12)
+    (pi_c,) = critical_threshold(dist)
+    assert abs(pi_c - 0.6) < 1e-12
+    assert gscc_fraction(dist, 0.55).c_bond == 0.0  # above 1/mu, below pi_c
+    assert gscc_fraction(dist, 0.8).c_bond > 0.0
+
+
 # Coefficients of the map for independent Poisson(2) marginals: sum_d a[d] z^d = exp(2 (z - 1))
 POISSON2_COEFFS = stats.poisson.pmf(np.arange(60), 2.0)
 
